@@ -4,9 +4,12 @@
 //! [`Traced`] implements the serving layer's `ServingEngine` and
 //! `DurableEngine` by delegating to the engine it wraps, recording one
 //! span per `apply_batch`, `FlatIndex::freeze`, `ShardedFlatIndex::from_flat`,
-//! `encode_state` and `decode_state`. Its `freeze` performs exactly the two
-//! steps the wrapped engines' `freeze` performs, timed separately. Spans go
-//! to a process-wide list that the traced pass drains when it ends.
+//! `encode_state` and `decode_state`. Its `freeze` copies the two steps of
+//! the serving crate's `freeze` for `DynamicSpc` and `ManagedSpc`, so that it
+//! can time them apart, and must track that code:
+//! [`BenchEngine::freeze_copy_matches`] compares the copy with the engine's
+//! own `freeze` after every traced loop, and a mismatch fails the run. Spans
+//! go to a process-wide list that the traced pass drains when it ends.
 
 use dspc::dynamic::GraphUpdate;
 use dspc::order::degree_order_staleness;
@@ -28,6 +31,12 @@ pub trait BenchEngine:
     /// Policy-triggered full rebuilds so far.
     fn rebuilds(&self) -> usize {
         0
+    }
+    /// Whether the timed copy of the engine's freeze (see [`Traced`]) builds
+    /// the snapshot the engine's own `freeze` builds; `None` when there is
+    /// no copy to compare.
+    fn freeze_copy_matches(&self, _shards: usize) -> Option<bool> {
+        None
     }
     /// Degree-order staleness of the current rank order.
     fn staleness(&self) -> f64 {
@@ -128,6 +137,7 @@ impl<E: BenchEngine> ServingEngine for Traced<E> {
         out
     }
 
+    /// A copy of the wrapped engine's `freeze`, timed step by step.
     fn freeze(&self, shards: usize) -> ShardedFlatIndex {
         let start = Instant::now();
         let flat = FlatIndex::freeze(self.0.dynamic().index());
@@ -170,6 +180,10 @@ impl<E: BenchEngine> BenchEngine for Traced<E> {
 
     fn rebuilds(&self) -> usize {
         self.0.rebuilds()
+    }
+
+    fn freeze_copy_matches(&self, shards: usize) -> Option<bool> {
+        Some(ServingEngine::freeze(self, shards) == self.0.freeze(shards))
     }
 
     fn staleness(&self) -> f64 {

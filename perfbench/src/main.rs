@@ -6,6 +6,10 @@
 //!           --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
+//! Every workload runs a fixed number of rotations, so the work a run
+//! measures depends on the seed alone. `--seconds` caps the writer loop's
+//! wall time: a pass that reaches the cap fails.
+//!
 //! `--trace 0` runs one untraced pass and reports the end-to-end metrics.
 //! `--trace 1` runs an untraced reference pass up to the deterministic
 //! prefix, then a traced pass of the same seed; it checks that the
@@ -63,7 +67,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("missing --workload")?,
         seed: seed.ok_or("missing --seed")?,
-        seconds: seconds.unwrap_or(20.0),
+        seconds: seconds.unwrap_or(30.0),
         trace,
     })
 }
@@ -77,23 +81,32 @@ fn pass(inputs: &Inputs, opts: PassOptions, traced: bool) -> Result<Pass, String
     }
 }
 
-/// Replays the first delete batches on a `MaintenanceThreads::Fixed(2)`
-/// twin and compares its apply time with the traced `Fixed(1)` pass.
-/// Recorded, never gated.
-fn wave_probe(inputs: &Inputs, traced: &Pass) -> Probe {
-    let one = report::loop_apply_ms(traced);
-    let batches = PROBE_BATCHES.min(one.len());
-    let mut twin = DynamicSpc::build(inputs.graph(), OrderingStrategy::Degree);
-    twin.set_maintenance_threads(MaintenanceThreads::Fixed(2));
-    let (mut two_ms, mut waves, mut widest) = (0.0, 0usize, 0usize);
+/// Replays the first delete batches on a `MaintenanceThreads::Fixed(1)`
+/// twin and a `Fixed(2)` twin, batch by batch in turn, so both sides are
+/// timed the same way, and compares their apply times. Recorded, never
+/// gated.
+fn wave_probe(inputs: &Inputs) -> Probe {
+    let twin = |threads| {
+        let mut d = DynamicSpc::build(inputs.graph(), OrderingStrategy::Degree);
+        d.set_maintenance_threads(threads);
+        d
+    };
+    let (mut one, mut two) = (
+        twin(MaintenanceThreads::Fixed(1)),
+        twin(MaintenanceThreads::Fixed(2)),
+    );
+    let batches = PROBE_BATCHES.min(inputs.batches.len());
+    let (mut one_ms, mut two_ms, mut waves, mut widest) = (0.0, 0.0, 0usize, 0usize);
     for batch in &inputs.batches[..batches] {
         let start = Instant::now();
-        let stats = ServingEngine::apply_batch(&mut twin, batch).expect("recorded batch applies");
+        ServingEngine::apply_batch(&mut one, batch).expect("recorded batch applies");
+        one_ms += ms(start.elapsed());
+        let start = Instant::now();
+        let stats = ServingEngine::apply_batch(&mut two, batch).expect("recorded batch applies");
         two_ms += ms(start.elapsed());
         waves += stats.waves;
         widest = widest.max(stats.max_wave_width);
     }
-    let one_ms: f64 = one[..batches].iter().sum();
     Probe {
         batches,
         apply_ms_ratio: if one_ms > 0.0 { two_ms / one_ms } else { 0.0 },
@@ -109,26 +122,21 @@ fn print_record(args: &Args, inputs: &Inputs) {
         spec.name, args.seed, args.seconds, args.trace as u8
     );
     println!(
-        "record: nproc={} git_rev={} graph=BA(n={}, m={}) batch={} shards={} input_rotations={}",
+        "record: nproc={} git_rev={} graph=BA(n={}, m={}) batch={} shards={} rotations={} cap={}s",
         stats::nproc(),
         stats::git_rev(),
         spec.vertices,
         spec.attach,
         spec.batch,
         spec.shards,
-        inputs.batches.len()
+        spec.rotations,
+        args.seconds
     );
     println!("record: threads: {}", spec.thread_layout());
     println!("record: flush: {}", spec.flush_policy());
 }
 
 fn print_pass_notes(pass: &Pass) {
-    if pass.exhausted {
-        println!(
-            "warning: the writer ran out of input after {} rotations",
-            pass.rotations
-        );
-    }
     if !report::percentiles_valid(pass) {
         println!("warning: a percentile has fewer than 10 samples beyond it");
     }
@@ -157,10 +165,10 @@ fn run(args: &Args) -> Result<i32, String> {
             spec::WORKLOADS
         )
     })?;
-    let inputs = Inputs::generate(spec, args.seed, args.seconds);
+    let inputs = Inputs::generate(spec, args.seed);
     print_record(args, &inputs);
     let full = PassOptions {
-        seconds: args.seconds,
+        cap_s: args.seconds,
         prefix_only: false,
     };
 
@@ -176,7 +184,7 @@ fn run(args: &Args) -> Result<i32, String> {
     let reference = pass(
         &inputs,
         PassOptions {
-            seconds: args.seconds,
+            cap_s: args.seconds,
             prefix_only: true,
         },
         false,
@@ -230,7 +238,7 @@ fn run(args: &Args) -> Result<i32, String> {
     let fresh_entries = DynamicSpc::build(final_graph, OrderingStrategy::Degree)
         .index()
         .num_entries();
-    let probe = (spec.name == "delete_durable").then(|| wave_probe(&inputs, &traced));
+    let probe = (spec.name == "delete_durable").then(|| wave_probe(&inputs));
     let metrics = report::per_layer(
         &spec,
         &traced,

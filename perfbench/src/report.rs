@@ -56,8 +56,11 @@ pub fn end_to_end(pass: &Pass) -> Vec<Metric> {
         .collect();
     let recover_note = match pass.recoveries.first() {
         Some(r) => format!(
-            "median of {}, checkpoint epoch {} + {} replayed epochs",
-            recover_s.len(),
+            "{}, checkpoint epoch {} + {} replayed epochs",
+            match recover_s.len() {
+                1 => "one recovery".to_string(),
+                n => format!("median of {n} recoveries"),
+            },
             r.report.checkpoint_epoch,
             r.report.replayed_rotations
         ),
@@ -167,11 +170,6 @@ fn spans_of<'a>(
 
 fn span_ms(spans: &[Span], layer: Layer, from: Instant, to: Instant) -> Vec<f64> {
     spans_of(spans, layer, from, to).map(Span::ms).collect()
-}
-
-/// The apply spans of the serving loop, in order.
-pub fn loop_apply_ms(pass: &Pass) -> Vec<f64> {
-    span_ms(&pass.spans, Layer::Apply, pass.loop_start, pass.loop_end)
 }
 
 /// The per-layer metrics of a traced full pass.

@@ -3,7 +3,9 @@
 //! Set-up (repeated, timed), then the closed-loop writer: submit one update
 //! at a time, rotate after every batch, checkpoint every
 //! [`CHECKPOINT_EVERY`] rotations on journaled workloads. The program sets
-//! the pace; no sleep or timer sits inside a measured interval. After the
+//! the pace; no sleep or timer sits inside a measured interval. The writer
+//! runs the workload's fixed number of rotations; a wall-clock cap only
+//! fails a pass that would overrun it. After the
 //! loop: a timed recovery, repeated timed warm starts, and a sampled
 //! oracle check of the final graph. Every check lands in the pass's
 //! [`Checks`] ledger.
@@ -78,7 +80,6 @@ pub struct Pass {
     pub checkpoint_ms: Vec<f64>,
     pub counters: MaintenanceCounters,
     pub journal_bytes: u64,
-    pub exhausted: bool,
     pub prefix: Option<Prefix>,
     pub reads: ReadLog,
     pub recoveries: Vec<Recovery>,
@@ -99,7 +100,9 @@ pub struct Pass {
 /// How far a pass goes.
 #[derive(Clone, Copy)]
 pub struct PassOptions {
-    pub seconds: f64,
+    /// Wall-clock cap on the writer loop, in seconds. Reaching it fails the
+    /// pass; it never shortens the work a pass measures.
+    pub cap_s: f64,
     /// Stop at rotation [`MIN_ROTATIONS`] with one set-up and no phases
     /// after the loop (the untraced reference of a traced run).
     pub prefix_only: bool,
@@ -252,6 +255,14 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
         shards: spec.shards,
     };
     let mut checks = Checks::default();
+    checks.check(inputs.complete(), || {
+        format!(
+            "the input ran dry: {} of {} rotations of {} updates",
+            inputs.batches.len(),
+            spec.rotations,
+            spec.batch
+        )
+    });
 
     // ---- Set-up, repeated: generate the graph, build, wrap, serve. ----
     let reps = if opts.prefix_only { 1 } else { spec.setup_reps };
@@ -299,17 +310,21 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
     // a reader pinned there would keep every later snapshot alive.)
     let mut reference = None;
     let recover_dir = scratch.join("recover-source");
-    let mut exhausted = true;
     let loop_start = Instant::now();
     std::thread::scope(|scope| {
         let handle = thread_reader.map(|r| scope.spawn(|| read_loop(r, inputs, &stop)));
         for batch in &inputs.batches {
-            let out_of_time =
-                loop_start.elapsed().as_secs_f64() >= opts.seconds && rotations >= MIN_ROTATIONS;
-            if (opts.prefix_only && rotations >= MIN_ROTATIONS)
-                || (!opts.prefix_only && out_of_time)
-            {
-                exhausted = false;
+            if opts.prefix_only && rotations >= MIN_ROTATIONS {
+                break;
+            }
+            if loop_start.elapsed().as_secs_f64() >= opts.cap_s {
+                checks.check(false, || {
+                    format!(
+                        "the {} s cap ran out after {rotations} of {} rotations",
+                        opts.cap_s,
+                        inputs.batches.len()
+                    )
+                });
                 break;
             }
             let batch_start = Instant::now();
@@ -400,6 +415,11 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
         finish_read_log(&mut reads, inline_reader);
     }
     drop((checker, inline_reader));
+    if let Some(same) = server.engine().freeze_copy_matches(spec.shards) {
+        checks.check(same, || {
+            "the traced freeze no longer builds what the engine's freeze builds".to_string()
+        });
+    }
 
     let mut pass = Pass {
         setup_s,
@@ -416,7 +436,6 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
         checkpoint_ms,
         counters,
         journal_bytes: server.stats().journal_bytes,
-        exhausted,
         prefix,
         reads,
         recoveries: Vec::new(),
@@ -443,8 +462,12 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
     // many epochs onto the set-up checkpoint. Unjournaled: the final state
     // is checkpointed once and recovered with nothing to replay. ----
     let (source, reference, expect_epochs) = if spec.journaled {
-        let reference =
-            reference.ok_or_else(|| "the run never reached the recovery copy".to_string())?;
+        let reference = reference.ok_or_else(|| {
+            format!(
+                "the run never reached the recovery copy: {}",
+                pass.checks.failures.join("; ")
+            )
+        })?;
         (recover_dir, reference, RECOVER_EPOCHS as u64)
     } else {
         let reference = reference_answers(&mut server.reader(), inputs);
@@ -453,17 +476,12 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
             .map_err(|e| err("with_journal (final state)", e))?;
         (dir, reference, 0)
     };
-    let mut spent = 0.0;
-    for rep in 0..RECOVER_REPS {
-        if spent >= RECOVER_BUDGET_S {
-            break;
-        }
+    for rep in 0..spec.recover_reps {
         let dir = scratch.join(&format!("recover-{rep}"));
         copy_dir(&source, &dir).map_err(|e| err("journal copy", e))?;
         let start = Instant::now();
         let recovered = EpochServer::<E>::recover(&dir, config);
         let end = Instant::now();
-        spent += (end - start).as_secs_f64();
         match recovered {
             Ok((rec, report)) => {
                 pass.checks.check(

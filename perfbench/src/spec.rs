@@ -14,10 +14,9 @@ use dspc_graph::{UndirectedGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Rotations every pass runs at least, whatever `--seconds` says: the
-/// 90th visibility percentile then has 10 rotations beyond it. The
-/// deterministic-counter self-check compares the counters at this
-/// rotation.
+/// Rotations every workload runs at least: the 90th visibility percentile
+/// then has 10 rotations beyond it. The deterministic-counter self-check
+/// compares the counters at this rotation.
 pub const MIN_ROTATIONS: usize = 100;
 /// Journaled workloads checkpoint every this many rotations.
 pub const CHECKPOINT_EVERY: usize = 64;
@@ -36,13 +35,6 @@ pub const REFRESH_EVERY: usize = 256;
 pub const TIME_EVERY: usize = 8;
 /// Queries the writer thread answers between rotations (inline readers).
 pub const INLINE_QUERIES: usize = 256;
-/// Recoveries per run, at most; `recover_s` is their median. No further
-/// recovery starts once they have taken [`RECOVER_BUDGET_S`].
-pub const RECOVER_REPS: usize = 3;
-pub const RECOVER_BUDGET_S: f64 = 2.0;
-/// Rotations per second the input is sized for, on top of the floor; the
-/// writer stops early (and says so) if it ever runs out.
-const MAX_ROTATIONS_PER_S: f64 = 40.0;
 /// Pairs a recovered server must answer as the live one did.
 pub const EQUIVALENCE_PAIRS: usize = 256;
 
@@ -80,6 +72,9 @@ pub struct Spec {
     pub stream: Stream,
     /// Updates per rotation.
     pub batch: usize,
+    /// Rotations every pass runs: the fixed amount of work, so what a pass
+    /// does depends on the seed alone, never on how fast the program runs.
+    pub rotations: usize,
     pub shards: usize,
     pub read_side: ReadSide,
     pub journaled: bool,
@@ -87,6 +82,8 @@ pub struct Spec {
     pub policy: Option<MaintenancePolicy>,
     /// Set-ups per run; `setup_s` is their median.
     pub setup_reps: usize,
+    /// Recoveries per run; `recover_s` is their median.
+    pub recover_reps: usize,
     /// Warm starts per run; `warm_start_s` is their median.
     pub warm_reps: usize,
     /// Pairs `verify_sampled_pairs` checks on the final graph.
@@ -112,11 +109,13 @@ pub fn spec(name: &str) -> Option<Spec> {
             attach: 4,
             stream: Stream::Insert,
             batch: 32,
+            rotations: 160,
             shards: 2,
             read_side: ReadSide::Thread,
             journaled: false,
             policy: None,
             setup_reps: 3,
+            recover_reps: 5,
             warm_reps: 15,
             verify_pairs: 200,
         },
@@ -126,11 +125,13 @@ pub fn spec(name: &str) -> Option<Spec> {
             attach: 3,
             stream: Stream::Hybrid,
             batch: 16,
+            rotations: 100,
             shards: 1,
             read_side: ReadSide::Inline,
             journaled: true,
             policy: None,
             setup_reps: 15,
+            recover_reps: 1,
             warm_reps: 31,
             verify_pairs: 500,
         },
@@ -140,16 +141,19 @@ pub fn spec(name: &str) -> Option<Spec> {
             attach: 3,
             stream: Stream::Churn { moves: 6 },
             batch: 12,
+            rotations: 170,
             shards: 1,
             read_side: ReadSide::Thread,
             journaled: true,
             policy: Some(tiered_policy()),
             setup_reps: 31,
+            recover_reps: 1,
             warm_reps: 31,
             verify_pairs: 500,
         },
         _ => return None,
     };
+    assert!(spec.rotations >= MIN_ROTATIONS);
     Some(spec)
 }
 
@@ -195,12 +199,13 @@ fn base_graph(spec: &Spec) -> UndirectedGraph {
 }
 
 impl Inputs {
-    /// Generates the update batches and query pairs for a run of at most
-    /// `seconds` (plus the rotation floor).
-    pub fn generate(spec: Spec, seed: u64, seconds: f64) -> Self {
+    /// Generates the update batches of `spec.rotations` rotations and the
+    /// query pairs. A stream that runs dry yields fewer or shorter batches;
+    /// [`Inputs::complete`] tells.
+    pub fn generate(spec: Spec, seed: u64) -> Self {
         let g = base_graph(&spec);
         let mut rng = StdRng::seed_from_u64(seed);
-        let rotations = MIN_ROTATIONS + (MAX_ROTATIONS_PER_S * seconds).ceil() as usize;
+        let rotations = spec.rotations;
         let batches = match spec.stream {
             Stream::Insert => sample_insertions(&g, rotations * spec.batch, &mut rng)
                 .chunks(spec.batch)
@@ -237,6 +242,12 @@ impl Inputs {
             batches,
             pairs,
         }
+    }
+
+    /// Whether the input holds every rotation, each a full batch.
+    pub fn complete(&self) -> bool {
+        self.batches.len() == self.spec.rotations
+            && self.batches.iter().all(|b| b.len() == self.spec.batch)
     }
 
     /// The base graph (regenerated: graph generation is part of set-up).
