@@ -25,17 +25,6 @@ fn metric(name: &'static str, value: f64, unit: &'static str, note: String) -> M
     }
 }
 
-/// Percentile `q` of the timed queries, in µs.
-fn query_us(pass: &Pass, q: f64) -> f64 {
-    let us: Vec<f64> = pass
-        .reads
-        .lat_ns
-        .iter()
-        .map(|&ns| ns as f64 / 1e3)
-        .collect();
-    quantile(&us, q)
-}
-
 fn ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
         num / den
@@ -44,93 +33,202 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// The twelve end-to-end metrics of a full pass.
-pub fn end_to_end(pass: &Pass) -> Vec<Metric> {
-    let timed = pass.reads.lat_ns.len();
-    let rot = pass.rotations;
-    let updates_note = format!("{} updates", pass.updates);
-    let recover_s: Vec<f64> = pass
-        .recoveries
-        .iter()
-        .map(|r| (r.end - r.start).as_secs_f64())
-        .collect();
-    let recover_note = match pass.recoveries.first() {
-        Some(r) => format!(
-            "{}, checkpoint epoch {} + {} replayed epochs",
-            match recover_s.len() {
-                1 => "one recovery".to_string(),
-                n => format!("median of {n} recoveries"),
-            },
-            r.report.checkpoint_epoch,
-            r.report.replayed_rotations
-        ),
-        None => "recovery failed".to_string(),
+/// What one full pass contributes to the end-to-end metrics. The passes of
+/// an untraced run repeat the same seeded work, so their per-rotation and
+/// per-update samples line up index by index.
+pub struct Round {
+    pub setup_s: Vec<f64>,
+    pub query_p50_us: f64,
+    pub query_p99_us: f64,
+    pub timed_queries: usize,
+    pub queries: u64,
+    pub read_wall_s: f64,
+    pub updates: u64,
+    pub rotation_busy_ms: Vec<f64>,
+    pub visible_ms: Vec<f64>,
+    pub recover_s: Vec<f64>,
+    pub warm_s: Vec<f64>,
+    pub replay_note: String,
+    pub column_bytes: usize,
+    pub final_entries: usize,
+    pub peak_rss_mb: f64,
+}
+
+impl Round {
+    pub fn of(pass: &Pass) -> Self {
+        let lat = &pass.reads.lat_ns;
+        let recover_s: Vec<f64> = pass
+            .recoveries
+            .iter()
+            .map(|r| (r.end - r.start).as_secs_f64())
+            .collect();
+        Round {
+            setup_s: pass.setup_s.clone(),
+            query_p50_us: lat.quantile_ns(0.5) / 1e3,
+            query_p99_us: lat.quantile_ns(0.99) / 1e3,
+            timed_queries: lat.len(),
+            queries: pass.reads.queries,
+            read_wall_s: pass.reads.wall_s,
+            updates: pass.updates,
+            rotation_busy_ms: pass.rotation_busy_ms.clone(),
+            visible_ms: pass.visible_ms.clone(),
+            recover_s,
+            warm_s: pass.warm_s.clone(),
+            replay_note: pass.recoveries.first().map_or_else(
+                || "recovery failed".to_string(),
+                |r| {
+                    format!(
+                        "checkpoint epoch {} + {} replayed epochs",
+                        r.report.checkpoint_epoch, r.report.replayed_rotations
+                    )
+                },
+            ),
+            column_bytes: pass.column_bytes,
+            final_entries: pass.final_entries,
+            peak_rss_mb: pass.peak_rss_mb,
+        }
+    }
+}
+
+/// The smallest value.
+fn best_low(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Index by index, the smallest value any round recorded there.
+fn best_low_each(series: impl Fn(&Round) -> &[f64], rounds: &[Round]) -> Vec<f64> {
+    let len = rounds.iter().map(|r| series(r).len()).max().unwrap_or(0);
+    (0..len)
+        .map(|i| best_low(rounds.iter().filter_map(|r| series(r).get(i).copied())))
+        .collect()
+}
+
+/// The twelve end-to-end metrics of an untraced run's rounds.
+///
+/// The rounds run one after another over the same inputs. Each timing is
+/// the best the rounds recorded for the same work: per update for the
+/// visibility latencies, per rotation for the writer time behind
+/// `updates_per_s`, per round for the reads, and over every recovery and
+/// every warm start of the run.
+/// The host's speed swings by up to half for seconds to minutes at a time,
+/// and only ever slows the program down, so the best of several rounds
+/// spread over the run is the steadiest estimate of its speed. `setup_s`
+/// is the median of every set-up of every round.
+pub fn end_to_end(rounds: &[Round], checks: &Checks) -> Vec<Metric> {
+    let n = rounds.len();
+    let first = rounds.first().expect("at least one round");
+    let last = rounds.last().expect("at least one round");
+    let best = |f: fn(&Round) -> f64| best_low(rounds.iter().map(f));
+    let of_rounds = |what: &str| match n {
+        1 => format!("one round, {what}"),
+        n => format!("best of {n} rounds, {what}"),
     };
+    let all = |f: fn(&Round) -> &Vec<f64>| -> Vec<f64> {
+        rounds.iter().flat_map(|r| f(r).iter().copied()).collect()
+    };
+    let (setup_s, recover_s, warm_s) = (
+        all(|r| &r.setup_s),
+        all(|r| &r.recover_s),
+        all(|r| &r.warm_s),
+    );
+    let visible_ms = best_low_each(|r| &r.visible_ms, rounds);
+    let busy_s = best_low_each(|r| &r.rotation_busy_ms, rounds)
+        .iter()
+        .sum::<f64>()
+        / 1e3;
+    let rot = first.rotation_busy_ms.len();
+    let timed = first.timed_queries;
+    let updates_note = format!("{} updates", first.updates);
     vec![
         metric(
             "setup_s",
-            median(&pass.setup_s),
+            median(&setup_s),
             "s",
-            format!("median of {} set-ups", pass.setup_s.len()),
+            format!("median of {} set-ups in {n} rounds", setup_s.len()),
         ),
         metric(
             "query_p50_us",
-            query_us(pass, 0.5),
+            best(|r| r.query_p50_us),
             "us",
-            sample_note(timed, 0.5, "timed queries"),
+            of_rounds(&sample_note(timed, 0.5, "timed queries")),
         ),
         metric(
             "query_p99_us",
-            query_us(pass, 0.99),
+            best(|r| r.query_p99_us),
             "us",
-            sample_note(timed, 0.99, "timed queries"),
+            of_rounds(&sample_note(timed, 0.99, "timed queries")),
         ),
         metric(
             "queries_per_s",
-            ratio(pass.reads.queries as f64, pass.reads.wall_s),
+            rounds
+                .iter()
+                .map(|r| ratio(r.queries as f64, r.read_wall_s))
+                .fold(0.0, f64::max),
             "1/s",
-            format!("{} queries", pass.reads.queries),
+            of_rounds(&format!("{} queries", first.queries)),
         ),
         metric(
             "updates_per_s",
-            ratio(pass.updates as f64, pass.busy_s),
+            ratio(first.updates as f64, busy_s),
             "1/s",
-            format!("{updates_note} in {rot} rotations, closed loop"),
+            of_rounds(&format!(
+                "per rotation; {updates_note} in {rot} rotations, closed loop"
+            )),
         ),
         metric(
             "visible_p50_ms",
-            median(&pass.visible_ms),
+            median(&visible_ms),
             "ms",
-            format!("{}, {updates_note}", sample_note(rot, 0.5, "rotations")),
+            of_rounds(&format!(
+                "per update; {}, {updates_note}",
+                sample_note(rot, 0.5, "rotations")
+            )),
         ),
         metric(
             "visible_p90_ms",
-            quantile(&pass.visible_ms, 0.9),
+            quantile(&visible_ms, 0.9),
             "ms",
-            format!("{}, {updates_note}", sample_note(rot, 0.9, "rotations")),
+            of_rounds(&format!(
+                "per update; {}, {updates_note}",
+                sample_note(rot, 0.9, "rotations")
+            )),
         ),
-        metric("recover_s", median(&recover_s), "s", recover_note),
+        metric(
+            "recover_s",
+            best_low(recover_s.iter().copied()),
+            "s",
+            format!(
+                "fastest of {} recoveries in {n} rounds, {}",
+                recover_s.len(),
+                first.replay_note
+            ),
+        ),
         metric(
             "warm_start_s",
-            median(&pass.warm_s),
+            best_low(warm_s.iter().copied()),
             "s",
-            format!("median of {} warm starts", pass.warm_s.len()),
+            format!("fastest of {} warm starts in {n} rounds", warm_s.len()),
         ),
         metric(
             "index_mb",
-            pass.column_bytes as f64 / 1e6,
+            first.column_bytes as f64 / 1e6,
             "MB",
-            format!("{} entries", pass.final_entries),
+            format!("{} entries", first.final_entries),
         ),
-        metric("peak_rss_mb", pass.peak_rss_mb, "MB", "VmHWM".to_string()),
+        metric(
+            "peak_rss_mb",
+            last.peak_rss_mb,
+            "MB",
+            "VmHWM at the end of the run".to_string(),
+        ),
         metric(
             "ok_ratio",
-            pass.checks.ok_ratio(),
+            checks.ok_ratio(),
             "ratio",
             format!(
                 "{} of {} checks passed",
-                pass.checks.attempted - pass.checks.failed,
-                pass.checks.attempted
+                checks.attempted - checks.failed,
+                checks.attempted
             ),
         ),
     ]
@@ -255,7 +353,10 @@ pub fn per_layer(spec: &Spec, pass: &Pass, extras: &TraceExtras) -> Vec<Metric> 
         ),
         metric(
             "engine.apply_share",
-            ratio(apply.iter().sum::<f64>() / 1e3, pass.busy_s),
+            ratio(
+                apply.iter().sum::<f64>(),
+                pass.rotation_busy_ms.iter().sum::<f64>(),
+            ),
             "ratio",
             "apply busy / writer busy".to_string(),
         ),

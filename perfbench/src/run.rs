@@ -45,8 +45,8 @@ pub struct Prefix {
 /// What a read side measured.
 #[derive(Default)]
 pub struct ReadLog {
-    /// Per-query latencies of the timed queries, in ns.
-    pub lat_ns: Vec<u32>,
+    /// Per-query latencies of the timed queries.
+    pub lat_ns: NsHistogram,
     pub queries: u64,
     /// Time spent answering queries.
     pub wall_s: f64,
@@ -72,8 +72,8 @@ pub struct Pass {
     pub loop_end: Instant,
     pub rotations: usize,
     pub updates: u64,
-    /// Writer time in submit, rotate and checkpoint calls.
-    pub busy_s: f64,
+    /// Writer time in submit, rotate and checkpoint calls, per rotation.
+    pub rotation_busy_ms: Vec<f64>,
     pub visible_ms: Vec<f64>,
     pub rotate_spans: Vec<(Instant, Instant)>,
     pub submit_ms: Vec<f64>,
@@ -151,7 +151,7 @@ fn read_loop(mut reader: SpcReader, inputs: &Inputs, stop: &AtomicBool) -> (Read
             let (epoch, answer) = if k.is_multiple_of(TIME_EVERY) {
                 let q0 = Instant::now();
                 let out = reader.query(s, t);
-                log.lat_ns.push(q0.elapsed().as_nanos() as u32);
+                log.lat_ns.record(q0.elapsed());
                 out
             } else {
                 reader.query(s, t)
@@ -204,7 +204,7 @@ fn inline_reads(
         *k += 1;
         let q0 = Instant::now();
         let (stamp, answer) = reader.query(s, t);
-        log.lat_ns.push(q0.elapsed().as_nanos() as u32);
+        log.lat_ns.record(q0.elapsed());
         black_box(answer);
         checks.check(stamp == epoch, || {
             format!("inline reader answered from epoch {stamp}, pinned {epoch}")
@@ -303,10 +303,11 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
     let mut rotate_spans = Vec::new();
     let mut submit_ms = Vec::new();
     let mut checkpoint_ms = Vec::new();
+    let mut rotation_busy_ms = Vec::new();
     let mut counters = MaintenanceCounters::default();
     let (mut rotations, mut updates, mut busy_s) = (0usize, 0u64, 0.0f64);
     let mut prefix = None;
-    // Reference answers at RECOVER_EPOCHS, for the recovered server. (Keeping
+    // Reference answers at `recover_epochs`, for the recovered server. (Keeping
     // a reader pinned there would keep every later snapshot alive.)
     let mut reference = None;
     let recover_dir = scratch.join("recover-source");
@@ -342,7 +343,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
             let r0 = Instant::now();
             let rotated = server.rotate();
             let r1 = Instant::now();
-            busy_s += (r1 - batch_start).as_secs_f64();
+            let mut busy = r1 - batch_start;
             rotate_spans.push((r0, r1));
             if let Ok(Some(stats)) = rotated.as_ref().map(|r| r.applied) {
                 counters.absorb(&stats);
@@ -355,10 +356,12 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
                 let c0 = Instant::now();
                 let done = server.checkpoint();
                 let c = c0.elapsed();
-                busy_s += c.as_secs_f64();
+                busy += c;
                 checkpoint_ms.push(ms(c));
                 checks.check(done.is_ok(), || format!("checkpoint failed: {done:?}"));
             }
+            busy_s += busy.as_secs_f64();
+            rotation_busy_ms.push(ms(busy));
 
             // ---- Unmeasured: bookkeeping and correctness checks. ----
             if rotations == MIN_ROTATIONS {
@@ -386,7 +389,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
                     format!("epoch {epoch}: {s:?}->{t:?} served {got:?}, live {live:?}")
                 });
             }
-            if spec.journaled && rotations == RECOVER_EPOCHS && !opts.prefix_only {
+            if spec.journaled && rotations == spec.recover_epochs && !opts.prefix_only {
                 let copied = copy_dir(&journal_dir, &recover_dir);
                 checks.check(copied.is_ok(), || {
                     format!("journal copy failed: {copied:?}")
@@ -429,7 +432,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
         loop_end,
         rotations,
         updates,
-        busy_s,
+        rotation_busy_ms,
         visible_ms,
         rotate_spans,
         submit_ms,
@@ -458,7 +461,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
     }
 
     // ---- Recovery, repeated on fresh copies of one journal directory.
-    // Journaled: the copy taken at rotation RECOVER_EPOCHS replays that
+    // Journaled: the copy taken at rotation `recover_epochs` replays that
     // many epochs onto the set-up checkpoint. Unjournaled: the final state
     // is checkpointed once and recovered with nothing to replay. ----
     let (source, reference, expect_epochs) = if spec.journaled {
@@ -468,7 +471,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
                 pass.checks.failures.join("; ")
             )
         })?;
-        (recover_dir, reference, RECOVER_EPOCHS as u64)
+        (recover_dir, reference, spec.recover_epochs as u64)
     } else {
         let reference = reference_answers(&mut server.reader(), inputs);
         let dir = scratch.join("final-journal");
@@ -486,7 +489,7 @@ pub fn run_pass<E: BenchEngine>(inputs: &Inputs, opts: PassOptions) -> Result<Pa
             Ok((rec, report)) => {
                 pass.checks.check(
                     report.replayed_rotations == expect_epochs
-                        && (!spec.journaled || rec.epoch() == RECOVER_EPOCHS as u64)
+                        && (!spec.journaled || rec.epoch() == spec.recover_epochs as u64)
                         && report.restored_pending_updates == 0,
                     || format!("recovery replayed {report:?}, expected {expect_epochs} epochs"),
                 );

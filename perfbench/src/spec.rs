@@ -20,13 +20,6 @@ use rand::{Rng, SeedableRng};
 pub const MIN_ROTATIONS: usize = 100;
 /// Journaled workloads checkpoint every this many rotations.
 pub const CHECKPOINT_EVERY: usize = 64;
-/// Epochs the timed recovery replays. The journal directory is copied
-/// after this many rotations, before the first periodic checkpoint, so a
-/// recovery decodes the set-up checkpoint (epoch 0) and replays every epoch
-/// since. Replaying many epochs averages out the few costly deletions a
-/// short stretch of the stream may or may not contain.
-pub const RECOVER_EPOCHS: usize = 48;
-const _: () = assert!(RECOVER_EPOCHS < CHECKPOINT_EVERY && RECOVER_EPOCHS <= MIN_ROTATIONS);
 /// Sampled pairs checked against the live engine after every rotation.
 pub const CHECK_PAIRS: usize = 16;
 /// A reader thread refreshes its snapshot every this many queries.
@@ -75,16 +68,26 @@ pub struct Spec {
     /// Rotations every pass runs: the fixed amount of work, so what a pass
     /// does depends on the seed alone, never on how fast the program runs.
     pub rotations: usize,
+    /// Passes an untraced run makes, one after another, each from a fresh
+    /// set-up over the same inputs (see `report::end_to_end`).
+    pub rounds: usize,
     pub shards: usize,
     pub read_side: ReadSide,
     pub journaled: bool,
     /// `Some` runs the engine behind `ManagedSpc` with this policy.
     pub policy: Option<MaintenancePolicy>,
-    /// Set-ups per run; `setup_s` is their median.
+    /// Set-ups per pass; `setup_s` is the median over every pass.
     pub setup_reps: usize,
-    /// Recoveries per run; `recover_s` is their median.
+    /// Recoveries per pass.
     pub recover_reps: usize,
-    /// Warm starts per run; `warm_start_s` is their median.
+    /// Epochs a journaled workload's timed recovery replays. The journal
+    /// directory is copied after this many rotations, before the first
+    /// periodic checkpoint, so a recovery decodes the set-up checkpoint
+    /// (epoch 0) and replays every epoch since. Replaying many epochs
+    /// averages out the few costly deletions a short stretch of the stream
+    /// may or may not contain.
+    pub recover_epochs: usize,
+    /// Warm starts per pass.
     pub warm_reps: usize,
     /// Pairs `verify_sampled_pairs` checks on the final graph.
     pub verify_pairs: usize,
@@ -105,18 +108,20 @@ pub fn spec(name: &str) -> Option<Spec> {
     let spec = match name {
         "serve_insert" => Spec {
             name: "serve_insert",
-            vertices: 6000,
+            vertices: 4000,
             attach: 4,
             stream: Stream::Insert,
             batch: 32,
-            rotations: 160,
+            rotations: 100,
+            rounds: 5,
             shards: 2,
             read_side: ReadSide::Thread,
             journaled: false,
             policy: None,
-            setup_reps: 3,
-            recover_reps: 5,
-            warm_reps: 15,
+            setup_reps: 1,
+            recover_reps: 3,
+            recover_epochs: 0,
+            warm_reps: 5,
             verify_pairs: 200,
         },
         "delete_durable" => Spec {
@@ -124,36 +129,41 @@ pub fn spec(name: &str) -> Option<Spec> {
             vertices: 2000,
             attach: 3,
             stream: Stream::Hybrid,
-            batch: 16,
+            batch: 4,
             rotations: 100,
+            rounds: 4,
             shards: 1,
             read_side: ReadSide::Inline,
             journaled: true,
             policy: None,
-            setup_reps: 15,
+            setup_reps: 5,
             recover_reps: 1,
-            warm_reps: 31,
+            recover_epochs: 48,
+            warm_reps: 11,
             verify_pairs: 500,
         },
         "churn_rerank" => Spec {
             name: "churn_rerank",
             vertices: 1000,
             attach: 3,
-            stream: Stream::Churn { moves: 6 },
-            batch: 12,
-            rotations: 170,
+            stream: Stream::Churn { moves: 4 },
+            batch: 8,
+            rotations: 100,
+            rounds: 7,
             shards: 1,
             read_side: ReadSide::Thread,
             journaled: true,
             policy: Some(tiered_policy()),
-            setup_reps: 31,
+            setup_reps: 10,
             recover_reps: 1,
-            warm_reps: 31,
+            recover_epochs: 32,
+            warm_reps: 11,
             verify_pairs: 500,
         },
         _ => return None,
     };
-    assert!(spec.rotations >= MIN_ROTATIONS);
+    assert!(spec.rotations >= MIN_ROTATIONS && spec.rounds >= 1);
+    assert!(spec.recover_epochs < CHECKPOINT_EVERY && spec.recover_epochs <= spec.rotations);
     Some(spec)
 }
 

@@ -56,6 +56,74 @@ pub fn percentile_valid(units: usize, q: f64) -> bool {
     tail_samples(units, q) >= MIN_TAIL_SAMPLES
 }
 
+/// Latencies below this many nanoseconds are counted in one bucket per
+/// nanosecond.
+const HISTOGRAM_NS: usize = 1 << 16;
+
+/// Latency samples in nanoseconds, kept exactly in constant memory: one
+/// counter per nanosecond below [`HISTOGRAM_NS`], and the rare slower
+/// samples verbatim. A closed-loop reader answers as many queries as the
+/// host lets it, so a list of every sample would make the run's memory
+/// follow the host's speed.
+#[derive(Debug)]
+pub struct NsHistogram {
+    counts: Vec<u64>,
+    slow: Vec<u64>,
+    len: usize,
+}
+
+impl Default for NsHistogram {
+    fn default() -> Self {
+        NsHistogram {
+            counts: vec![0; HISTOGRAM_NS],
+            slow: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl NsHistogram {
+    pub fn record(&mut self, d: Duration) {
+        let ns = d.as_nanos() as u64;
+        match self.counts.get_mut(ns as usize) {
+            Some(c) => *c += 1,
+            None => self.slow.push(ns),
+        }
+        self.len += 1;
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The `k`-th smallest sample (`k < len`).
+    fn nth(&self, k: usize) -> f64 {
+        let mut seen = 0u64;
+        for (ns, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > k as u64 {
+                return ns as f64;
+            }
+        }
+        let mut slow = self.slow.clone();
+        slow.sort_unstable();
+        slow[k - seen as usize] as f64
+    }
+
+    /// The `q`-quantile, interpolated as [`quantile`] does; 0 when empty.
+    pub fn quantile_ns(&self, q: f64) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        let pos = q * (self.len - 1) as f64;
+        let (lo, hi) = (
+            self.nth(pos.floor() as usize),
+            self.nth(pos.ceil() as usize),
+        );
+        lo + (hi - lo) * (pos - pos.floor())
+    }
+}
+
 /// Checks attempted and failed; the first few failures are kept verbatim.
 #[derive(Debug, Default)]
 pub struct Checks {
@@ -196,6 +264,20 @@ mod tests {
         assert_eq!(median(&v), 2.5);
         assert_eq!(quantile(&v, 0.0), 1.0);
         assert_eq!(quantile(&v, 1.0), 4.0);
+    }
+
+    #[test]
+    fn histogram_quantiles_match_sorted_samples() {
+        let ns = [70_000u64, 5, 900, 5, 12, 70_001, 3];
+        let mut h = NsHistogram::default();
+        for &x in &ns {
+            h.record(Duration::from_nanos(x));
+        }
+        let v: Vec<f64> = ns.iter().map(|&x| x as f64).collect();
+        for q in [0.0, 0.3, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile_ns(q), quantile(&v, q));
+        }
+        assert_eq!(h.len(), ns.len());
     }
 
     #[test]
