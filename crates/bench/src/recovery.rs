@@ -28,6 +28,7 @@ use dspc_serve::{EpochServer, ServeConfig, ServingEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scripted recovery-replay knobs. Everything downstream of `seed` is
 /// deterministic.
@@ -139,11 +140,28 @@ fn scheduling_free(stats: Option<dspc::UpdateStats>) -> Option<dspc::UpdateStats
     })
 }
 
-fn scratch_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "dspc_bench_recovery_{seed:x}_{}",
-        std::process::id()
-    ))
+/// One replay's journal directory, removed on drop (a failed recovery
+/// assert included). Named from the seed, the pid and a per-process
+/// sequence number, so replays running at the same time never share it.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(seed: u64) -> Self {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dspc_bench_recovery_{seed:x}_{}_{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs the scripted crash/recover cycle and returns its deterministic
@@ -154,13 +172,13 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
     let serve = ServeConfig {
         shards: config.shards,
     };
-    let dir = scratch_dir(config.seed);
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new(config.seed);
+    let dir = &scratch.0;
 
     // The run that dies: journaled, checkpointed mid-stream, killed with
     // one acknowledged batch still pending.
     let mut crashed =
-        EpochServer::with_journal(engine(&config), serve, &dir).expect("fresh journal dir");
+        EpochServer::with_journal(engine(&config), serve, dir).expect("fresh journal dir");
     // The twin that doesn't: same engine, same batches, no journal.
     let mut twin = EpochServer::new(engine(&config), serve);
     for (epoch, batch) in batches[..config.epochs].iter().enumerate() {
@@ -184,8 +202,7 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
         .expect("plain submit");
     drop(crashed); // the kill: in-memory state gone, fsynced appends stay
 
-    let (mut recovered, report) =
-        EpochServer::<DynamicSpc>::recover(&dir, serve).expect("recovery");
+    let (mut recovered, report) = EpochServer::<DynamicSpc>::recover(dir, serve).expect("recovery");
     assert_eq!(
         report.resumed_epoch,
         twin.epoch(),
@@ -223,7 +240,6 @@ pub fn replay(config: RecoveryReplayConfig) -> RecoveryReplayReport {
     }
 
     let stats = *recovered.stats();
-    let _ = std::fs::remove_dir_all(&dir);
     RecoveryReplayReport {
         rotations: stats.rotations,
         updates_applied: stats.updates_applied,

@@ -33,22 +33,13 @@
 //! anywhere uses as a hub (tracked exactly by the index's hub-entry
 //! counts).
 
-use crate::engine::{
-    aggregate_far_columns, build_endpoint_tasks, FarAggregator, FarColumn, MaintenanceCounters,
-    RepairAgenda, UndirectedTopo, UpdateEngine, REPAIR_PRIMARY,
-};
+use crate::engine::deletion::{ClassifyRole, DecDriver, DeletionVariant, SYMMETRIC_ROLES};
+use crate::engine::parallel::LabelWriteOp;
+use crate::engine::{ordered_key, FrozenUndirected, MaintenanceCounters, UndirectedTopo};
 use crate::index::SpcIndex;
-use crate::label::Rank;
-use crate::parallel::{ClassifyMode, MaintenanceOptions, MaintenanceThreads};
+use crate::label::{LabelEntry, Rank};
 use crate::query::HubProbe;
 use dspc_graph::{UndirectedGraph, VertexId};
-
-/// Former name of the deletion driver's counter block — now the unified
-/// [`MaintenanceCounters`] (the `isolated_fast_path` flag lives there).
-#[deprecated(
-    note = "renamed to `MaintenanceCounters` (one counter type across engine, drivers, and facades)"
-)]
-pub type DecStats = MaintenanceCounters;
 
 /// The affected-vertex sets computed by `SrrSEARCH` — Table 5 reports their
 /// cardinalities.
@@ -83,31 +74,115 @@ pub enum DecMode {
     SrOnlyNoFastPath,
 }
 
-/// Reusable DecSPC driver (Algorithm 4): the undirected deletion policy
-/// over the shared [`UpdateEngine`].
+/// The undirected variant of the batch-deletion orchestrator
+/// ([`crate::engine::deletion`]): one label family, both endpoints of
+/// every doomed edge sweep, and pendant edges peel off to the §3.2.3 fast
+/// path.
 #[derive(Debug)]
-pub struct DecSpc {
-    engine: UpdateEngine<u32>,
-    probe: HubProbe,
-    /// Probe pool for multi-far classification (one probe per pinned far
-    /// of the widest task seen), grown on demand.
-    probes: Vec<HubProbe>,
-    agenda: RepairAgenda,
-    agg: FarAggregator,
-}
+pub struct UndirectedDeletion;
 
-impl DecSpc {
-    /// Creates an engine for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DecSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-            probes: Vec::new(),
-            agenda: RepairAgenda::new(capacity),
-            agg: FarAggregator::new(capacity),
+impl DeletionVariant for UndirectedDeletion {
+    type Graph = UndirectedGraph;
+    type Index = SpcIndex;
+    type Probe = HubProbe;
+    type Dist = u32;
+    type Live<'a> = UndirectedTopo<'a>;
+    type Frozen<'a> = FrozenUndirected<'a>;
+
+    const ROLES: &'static [ClassifyRole] = SYMMETRIC_ROLES;
+
+    fn new_probe(capacity: usize) -> HubProbe {
+        HubProbe::new(capacity)
+    }
+
+    fn capacity(g: &UndirectedGraph) -> usize {
+        g.capacity()
+    }
+
+    fn edge_key(a: VertexId, b: VertexId) -> (u32, u32) {
+        ordered_key(a, b)
+    }
+
+    fn edge_len(g: &UndirectedGraph, a: VertexId, b: VertexId) -> Option<u32> {
+        g.has_edge(a, b).then_some(1)
+    }
+
+    fn live<'a>(
+        g: &'a UndirectedGraph,
+        index: &'a mut SpcIndex,
+        probe: &'a mut HubProbe,
+        _family: u8,
+    ) -> UndirectedTopo<'a> {
+        UndirectedTopo::new(g, index, probe)
+    }
+
+    fn frozen<'a>(
+        g: &'a UndirectedGraph,
+        index: &'a SpcIndex,
+        probe: &'a mut HubProbe,
+        _family: u8,
+    ) -> FrozenUndirected<'a> {
+        FrozenUndirected::new(g, index, probe)
+    }
+
+    fn rank(index: &SpcIndex, v: VertexId) -> Rank {
+        index.rank(v)
+    }
+
+    fn vertex(index: &SpcIndex, r: Rank) -> VertexId {
+        index.vertex(r)
+    }
+
+    fn for_each_residual_neighbor(g: &UndirectedGraph, v: u32, f: &mut dyn FnMut(u32)) {
+        for &w in g.neighbors(VertexId(v)) {
+            f(w);
         }
     }
 
+    fn for_each_label_hub(index: &SpcIndex, v: VertexId, f: &mut dyn FnMut(Rank)) {
+        for e in index.label_set(v).entries() {
+            f(e.hub);
+        }
+    }
+
+    fn commit(index: &mut SpcIndex, _family: u8, (v, hub, op): LabelWriteOp<u32>) {
+        match op {
+            Some((d, c)) => index.upsert_entry(v, LabelEntry::new(hub, d, c)),
+            None => index.remove_entry(v, hub),
+        };
+    }
+
+    fn remove_edge(g: &mut UndirectedGraph, a: VertexId, b: VertexId) -> dspc_graph::Result<()> {
+        g.delete_edge(a, b)
+    }
+
+    fn delete_one(
+        driver: &mut DecSpc,
+        g: &mut UndirectedGraph,
+        index: &mut SpcIndex,
+        a: VertexId,
+        b: VertexId,
+    ) -> dspc_graph::Result<MaintenanceCounters> {
+        driver.delete_edge(g, index, a, b).map(|(s, _)| s)
+    }
+
+    /// A pendant endpoint no label uses as a hub: the single-edge path
+    /// repairs it with zero sweeps, where the batch would only add
+    /// classification work.
+    fn peels(g: &UndirectedGraph, index: &mut SpcIndex, a: VertexId, b: VertexId) -> bool {
+        [a, b].into_iter().any(|x| {
+            let r = index.rank(x);
+            g.degree(x) == 1 && index.hub_entry_count(r) == 1
+        })
+    }
+}
+
+/// Reusable DecSPC driver (Algorithm 4): the undirected deletion policy
+/// over the shared [`crate::engine::UpdateEngine`]. Edge sets go through
+/// [`DecDriver::delete_batch`].
+pub type DecSpc = DecDriver<UndirectedDeletion>;
+
+impl DecSpc {
     /// Deletes `(a, b)` from `g` and repairs `index`. The engine performs
     /// the graph mutation itself because Algorithm 4 interleaves it between
     /// the two phases (`SrrSEARCH` sees `G_i`, `DecUPDATE` sees `G_{i+1}`).
@@ -135,7 +210,8 @@ impl DecSpc {
         if !g.has_edge(a, b) {
             return Err(dspc_graph::GraphError::MissingEdge(a, b));
         }
-        self.engine.ensure_capacity(g.capacity());
+        let (engine, probe) = self.sweep.parts();
+        engine.ensure_capacity(g.capacity());
 
         // §3.2.3 isolated-vertex fast path: the deletion strands a
         // degree-one endpoint `x` that no label anywhere uses as a hub
@@ -165,9 +241,9 @@ impl DecSpc {
         // Phase 1 — SrrSEARCH on G_i (edge still present).
         let mut stats = MaintenanceCounters::default();
         let srr = {
-            let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-            let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-            let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
+            let mut topo = UndirectedTopo::new(g, index, probe);
+            let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut stats);
+            let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut stats);
             SrrOutcome {
                 sr_a,
                 sr_b,
@@ -175,8 +251,7 @@ impl DecSpc {
                 r_b,
             }
         };
-        self.engine
-            .set_marks([&srr.sr_a, &srr.r_a], [&srr.sr_b, &srr.r_b]);
+        engine.set_marks([&srr.sr_a, &srr.r_a], [&srr.sr_b, &srr.r_b]);
 
         // Phase boundary — G_{i+1} ← G_i ⊖ (a, b).
         g.delete_edge(a, b)?;
@@ -203,410 +278,12 @@ impl DecSpc {
             } else {
                 (crate::engine::MARK_A, [&srr.sr_a[..], &srr.r_a[..]])
             };
-            let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-            self.engine
-                .dec_pass(&mut topo, h, opposite, removal, &mut stats);
+            let mut topo = UndirectedTopo::new(g, index, probe);
+            engine.dec_pass(&mut topo, h, opposite, removal, &mut stats);
         }
 
-        self.engine.clear_marks();
+        engine.clear_marks();
         Ok((stats, srr))
-    }
-
-    /// Multi-edge `SrrSEARCH` repair (the batch generalization of
-    /// Algorithm 4), sequential. Equivalent to [`DecSpc::delete_edges_with`]
-    /// with [`MaintenanceOptions::sequential`].
-    #[deprecated(note = "use `delete_edges_with` with `MaintenanceOptions::sequential()`")]
-    pub fn delete_edges(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_edges_with(g, index, edges, &MaintenanceOptions::sequential())
-    }
-
-    /// Multi-edge deletion with an explicit thread budget. Equivalent to
-    /// [`DecSpc::delete_edges_with`] with
-    /// [`MaintenanceOptions::with_threads`].
-    #[deprecated(note = "use `delete_edges_with` with `MaintenanceOptions::with_threads(..)`")]
-    pub fn delete_edges_with_threads(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_edges_with(
-            g,
-            index,
-            edges,
-            &MaintenanceOptions::with_threads(MaintenanceThreads::Fixed(threads)),
-        )
-    }
-
-    /// Multi-edge `SrrSEARCH` repair (the batch generalization of
-    /// Algorithm 4): deletes every edge of `edges` from `g` and repairs
-    /// `index` with **one** `DecUPDATE` sweep per distinct affected hub,
-    /// instead of one per edge per hub.
-    ///
-    /// Phase 1 classifies the whole set on the *group-pre* graph (all of
-    /// `edges` still present). Under the default
-    /// [`ClassifyMode::MultiFar`] this costs **one**
-    /// [`UpdateEngine::multi_far_pass`] sweep per *distinct endpoint* of
-    /// the set (not two per edge), with per-far count columns summed per
-    /// shared far endpoint — which also fixes the mixed-frontier
-    /// condition-**B** undercount the legacy per-edge comparison suffers
-    /// when several doomed edges share a far endpoint. The mutation then
-    /// removes the whole set; phase 2 sweeps each hub of `⋃ SR`
-    /// (descending rank, deduplicated) against the residual graph, so
-    /// every repaired label is RenewC/RenewD relative to the graph with
-    /// the *entire* deleted set absent. The receiver/removal candidate
-    /// list is the union of every classified vertex — a superset of each
-    /// edge's opposite side, safe under the unconditional removal pass
-    /// (see [`crate::engine`] module docs).
-    ///
-    /// A thread budget above 1 classifies endpoint tasks in parallel
-    /// (read-only on the pre-mutation graph) and runs the repair sweeps
-    /// as rank-independent waves on a persistent worker pool
-    /// ([`crate::engine::parallel::run_wave_pool`]). Results are
-    /// deterministic: the repaired index, query answers, and
-    /// label-operation counters are identical at every thread count —
-    /// only the `waves` / `max_wave_width` / `interference_probes` /
-    /// `steal_events` schedule counters distinguish the parallel path.
-    ///
-    /// Edges eligible for the §3.2.3 isolated-vertex fast path (a pendant
-    /// endpoint no label uses as a hub) are peeled off the group first and
-    /// deleted through [`DecSpc::delete_edge`] — they cost zero sweeps
-    /// there, so routing them through the group machinery would only *add*
-    /// classification work.
-    ///
-    /// All edges are validated present (and pairwise distinct) before the
-    /// first mutation; on error nothing is applied.
-    pub fn delete_edges_with(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        edges: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        match edges {
-            [] => return Ok(MaintenanceCounters::default()),
-            &[(a, b)] => return self.delete_edge(g, index, a, b).map(|(s, _)| s),
-            _ => {}
-        }
-        let mut keys: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
-        for &(a, b) in edges {
-            if !g.has_edge(a, b) {
-                return Err(dspc_graph::GraphError::MissingEdge(a, b));
-            }
-            keys.push(crate::engine::ordered_key(a, b));
-        }
-        if let Some((x, y)) = crate::engine::duplicate_edge_key(&mut keys) {
-            return Err(dspc_graph::GraphError::MissingEdge(
-                VertexId(x),
-                VertexId(y),
-            ));
-        }
-
-        // Peel fast-path-eligible edges off the group (checked against the
-        // evolving graph, since each peeled deletion can strand the next
-        // pendant).
-        let mut total = MaintenanceCounters::default();
-        let mut group: Vec<(VertexId, VertexId)> = Vec::with_capacity(edges.len());
-        for &(a, b) in edges {
-            let eligible = [a, b].into_iter().any(|x| {
-                let r = index.rank(x);
-                g.degree(x) == 1 && index.hub_entry_count(r) == 1
-            });
-            if eligible {
-                let (s, _) = self.delete_edge(g, index, a, b)?;
-                total.absorb(&s);
-            } else {
-                group.push((a, b));
-            }
-        }
-        match group[..] {
-            [] => return Ok(total),
-            [(a, b)] => {
-                let (s, _) = self.delete_edge(g, index, a, b)?;
-                total.absorb(&s);
-                return Ok(total);
-            }
-            _ => {}
-        }
-
-        self.engine.ensure_capacity(g.capacity());
-        self.agenda.ensure_capacity(g.capacity());
-        self.agg.ensure_capacity(g.capacity());
-        let threads = options.threads.resolve();
-        let mut stats = MaintenanceCounters::default();
-
-        if threads <= 1 {
-            // Phase 1 — classification on the group-pre graph, outcomes
-            // merged into the shared agenda.
-            match options.classify {
-                ClassifyMode::PerEdge => {
-                    for &(a, b) in &group {
-                        let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-                        let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-                        let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
-                        self.agenda
-                            .note_side(&sr_a, &r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                        self.agenda
-                            .note_side(&sr_b, &r_b, REPAIR_PRIMARY, |v| index.rank(v));
-                    }
-                }
-                ClassifyMode::MultiFar => {
-                    let tasks = build_endpoint_tasks(
-                        group.iter().flat_map(|&(a, b)| [(a, b, 1u32), (b, a, 1)]),
-                    );
-                    let mut columns: Vec<FarColumn> = Vec::new();
-                    {
-                        use crate::engine::FrozenUndirected;
-                        let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                        let engine = &mut self.engine;
-                        let probes = &mut self.probes;
-                        for task in &tasks {
-                            while probes.len() < task.fars.len() {
-                                probes.push(HubProbe::new(g_ref.capacity()));
-                            }
-                            let mut views: Vec<FrozenUndirected> = probes[..task.fars.len()]
-                                .iter_mut()
-                                .map(|p| FrozenUndirected::new(g_ref, index_ref, p))
-                                .collect();
-                            columns.extend(
-                                engine
-                                    .multi_far_pass(&mut views, task.near, &task.fars, &mut stats),
-                            );
-                        }
-                    }
-                    aggregate_far_columns(
-                        &mut self.agg,
-                        &columns,
-                        &mut self.agenda,
-                        REPAIR_PRIMARY,
-                        |v| index.rank(v),
-                    );
-                }
-            }
-            self.engine
-                .set_marks([self.agenda.receivers(), &[]], [&[], &[]]);
-
-            // Phase boundary — G_{i+1} ← G_i ⊖ group (the whole set at once).
-            for &(a, b) in &group {
-                g.delete_edge(a, b)?;
-            }
-
-            // Phase 2 — one sweep per distinct hub on the residual graph.
-            let hubs = self.agenda.take_hubs();
-            stats.agenda_hubs += hubs.len();
-            for (h_rank, _) in hubs {
-                let h = index.vertex(h_rank);
-                stats.hubs_processed += 1;
-                let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-                self.engine.dec_pass(
-                    &mut topo,
-                    h,
-                    crate::engine::MARK_A,
-                    [self.agenda.receivers(), &[]],
-                    &mut stats,
-                );
-            }
-
-            self.engine.clear_marks();
-        } else {
-            self.delete_group_parallel(g, index, &group, threads, options.classify, &mut stats)?;
-        }
-        self.agenda.clear();
-        total.absorb(&stats);
-        Ok(total)
-    }
-
-    /// The wave-parallel twin of the sequential group body: classification
-    /// fans out over the group's endpoint tasks (read-only on the
-    /// pre-mutation graph and index), the whole set is deleted, and the
-    /// deduplicated hub agenda runs as rank-independent waves of frozen
-    /// sweeps on a persistent worker pool, with buffered label writes
-    /// committed at each wave boundary.
-    fn delete_group_parallel(
-        &mut self,
-        g: &mut UndirectedGraph,
-        index: &mut SpcIndex,
-        group: &[(VertexId, VertexId)],
-        threads: usize,
-        classify: ClassifyMode,
-        stats: &mut MaintenanceCounters,
-    ) -> dspc_graph::Result<()> {
-        use crate::engine::parallel::{
-            agenda_components, frozen_dec_sweep, note_schedule, plan_waves, run_wave_pool,
-            Buffered, Interference, LabelWriteLog, WorkerScratch,
-        };
-        use crate::engine::FrozenUndirected;
-
-        let cap = g.capacity();
-
-        // Phase 1 — parallel classification on the group-pre graph, merged
-        // in task order so the agenda and counters end up exactly as the
-        // sequential classification would have left them.
-        match classify {
-            ClassifyMode::PerEdge => {
-                let outcomes = {
-                    let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                    crate::parallel::fan_out(
-                        group,
-                        threads,
-                        || {
-                            (
-                                UpdateEngine::<u32>::new(cap),
-                                HubProbe::new(cap),
-                                LabelWriteLog::<u32>::new(),
-                            )
-                        },
-                        |(engine, probe, log), &(a, b)| {
-                            let mut c = MaintenanceCounters::default();
-                            let mut topo =
-                                Buffered::new(FrozenUndirected::new(g_ref, index_ref, probe), log);
-                            let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut c);
-                            let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut c);
-                            debug_assert!(log.is_empty(), "classification never writes");
-                            (sr_a, r_a, sr_b, r_b, c)
-                        },
-                    )
-                };
-                for (sr_a, r_a, sr_b, r_b, c) in &outcomes {
-                    stats.absorb(c);
-                    self.agenda
-                        .note_side(sr_a, r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                    self.agenda
-                        .note_side(sr_b, r_b, REPAIR_PRIMARY, |v| index.rank(v));
-                }
-            }
-            ClassifyMode::MultiFar => {
-                let tasks = build_endpoint_tasks(
-                    group.iter().flat_map(|&(a, b)| [(a, b, 1u32), (b, a, 1)]),
-                );
-                let outcomes = {
-                    let (g_ref, index_ref): (&UndirectedGraph, &SpcIndex) = (g, index);
-                    crate::parallel::fan_out(
-                        &tasks,
-                        threads,
-                        || (UpdateEngine::<u32>::new(cap), Vec::<HubProbe>::new()),
-                        |(engine, probes), task| {
-                            while probes.len() < task.fars.len() {
-                                probes.push(HubProbe::new(cap));
-                            }
-                            let mut c = MaintenanceCounters::default();
-                            let mut views: Vec<FrozenUndirected> = probes[..task.fars.len()]
-                                .iter_mut()
-                                .map(|p| FrozenUndirected::new(g_ref, index_ref, p))
-                                .collect();
-                            let cols =
-                                engine.multi_far_pass(&mut views, task.near, &task.fars, &mut c);
-                            (cols, c)
-                        },
-                    )
-                };
-                let mut columns: Vec<FarColumn> = Vec::new();
-                for (cols, c) in outcomes {
-                    stats.absorb(&c);
-                    columns.extend(cols);
-                }
-                aggregate_far_columns(
-                    &mut self.agg,
-                    &columns,
-                    &mut self.agenda,
-                    REPAIR_PRIMARY,
-                    |v| index.rank(v),
-                );
-            }
-        }
-
-        // Phase boundary — G_{i+1} ← G_i ⊖ group (the whole set at once).
-        for &(a, b) in group {
-            g.delete_edge(a, b)?;
-        }
-
-        // Phase 2 — wave-scheduled repair on the residual graph. The
-        // interference model is only worth building when the agenda could
-        // actually share a wave; its component labeling is a bounded BFS
-        // seeded at the agenda's hubs and receivers, so untouched residual
-        // components cost nothing.
-        let hubs = self.agenda.take_hubs();
-        stats.agenda_hubs += hubs.len();
-        let receivers = self.agenda.receivers();
-        let schedule = if hubs.len() < 2 {
-            plan_waves(hubs.len(), |_, _| false)
-        } else {
-            let (comp, probes) = agenda_components(
-                cap,
-                hubs.iter()
-                    .map(|&(r, _)| index.vertex(r))
-                    .chain(receivers.iter().copied()),
-                |v, f| {
-                    for &w in g.neighbors(VertexId(v)) {
-                        f(w);
-                    }
-                },
-            );
-            stats.interference_probes += probes;
-            let inter = Interference::build(
-                &comp,
-                &hubs,
-                receivers,
-                |r| index.vertex(r),
-                |v, f| {
-                    for e in index.label_set(v).entries() {
-                        f(e.hub);
-                    }
-                },
-            );
-            plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
-        };
-        note_schedule(stats, &schedule);
-        let items: Vec<Rank> = hubs.iter().map(|&(r, _)| r).collect();
-        let waves: Vec<&[usize]> = schedule.iter().collect();
-        let g_ref: &UndirectedGraph = g;
-        let index_lock = std::sync::RwLock::new(&mut *index);
-        let steals = run_wave_pool(
-            threads,
-            &items,
-            &waves,
-            || WorkerScratch::for_group(cap, receivers, HubProbe::new(cap)),
-            |scratch, &h_rank| {
-                // A shared read lock per sweep: writes only ever happen in
-                // the commit closure below, between waves, when every
-                // worker is parked at the pool barrier.
-                let guard = index_lock.read().unwrap();
-                let index: &SpcIndex = &guard;
-                frozen_dec_sweep(
-                    &mut scratch.engine,
-                    FrozenUndirected::new(g_ref, index, &mut scratch.probe),
-                    index.vertex(h_rank),
-                    receivers,
-                )
-            },
-            |results| {
-                // Commit in rank order. Distinct hubs write distinct label
-                // rows, so the order only matters for matching the
-                // sequential counter accumulation.
-                let mut guard = index_lock.write().unwrap();
-                for (mut log, c) in results {
-                    stats.absorb(&c);
-                    for (v, hub, op) in log.drain() {
-                        match op {
-                            Some((d, cnt)) => {
-                                guard.upsert_entry(v, crate::label::LabelEntry::new(hub, d, cnt));
-                            }
-                            None => {
-                                guard.remove_entry(v, hub);
-                            }
-                        }
-                    }
-                }
-            },
-        );
-        stats.steal_events += steals;
-        Ok(())
     }
 
     /// Algorithm 5 — computes `SR_a, R_a` (BFS from `a`, classifying against
@@ -623,11 +300,12 @@ impl DecSpc {
         a: VertexId,
         b: VertexId,
     ) -> SrrOutcome {
-        self.engine.ensure_capacity(g.capacity());
+        let (engine, probe) = self.sweep.parts();
+        engine.ensure_capacity(g.capacity());
         let mut stats = MaintenanceCounters::default();
-        let mut topo = UndirectedTopo::new(g, index, &mut self.probe);
-        let (sr_a, r_a) = self.engine.srr_pass(&mut topo, a, b, 1, &mut stats);
-        let (sr_b, r_b) = self.engine.srr_pass(&mut topo, b, a, 1, &mut stats);
+        let mut topo = UndirectedTopo::new(g, index, probe);
+        let (sr_a, r_a) = engine.srr_pass(&mut topo, a, b, 1, &mut stats);
+        let (sr_b, r_b) = engine.srr_pass(&mut topo, b, a, 1, &mut stats);
         SrrOutcome {
             sr_a,
             sr_b,

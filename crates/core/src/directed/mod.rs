@@ -21,7 +21,7 @@ use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::EdgeCoalescer;
 use crate::label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 use crate::order::OrderingStrategy;
-use crate::parallel::{AgendaScope, MaintenanceOptions, MaintenanceThreads};
+use crate::parallel::MaintenanceThreads;
 use crate::query::QueryResult;
 use dspc_graph::{DirectedGraph, VertexId};
 use serde::{Deserialize, Serialize};
@@ -364,7 +364,7 @@ impl DynamicDirectedSpc {
     }
 
     /// Sets the worker-thread budget for intra-batch repair
-    /// ([`DynamicDirectedSpc::delete_arcs_with`] and the deletion segments
+    /// ([`DynamicDirectedSpc::delete_arcs`] and the deletion segments
     /// of [`DynamicDirectedSpc::apply_batch`]). Every thread count produces
     /// the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
@@ -374,14 +374,6 @@ impl DynamicDirectedSpc {
     /// The configured maintenance thread budget.
     pub fn maintenance_threads(&self) -> MaintenanceThreads {
         self.maintenance_threads
-    }
-
-    /// The default [`MaintenanceOptions`] this facade applies batches
-    /// with; pass a modified copy to
-    /// [`DynamicDirectedSpc::apply_batch_with`] /
-    /// [`DynamicDirectedSpc::delete_arcs_with`] to override per call.
-    pub fn maintenance_options(&self) -> MaintenanceOptions {
-        MaintenanceOptions::with_threads(self.maintenance_threads)
     }
 
     /// The underlying graph.
@@ -416,30 +408,22 @@ impl DynamicDirectedSpc {
         Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
     }
 
-    /// Deletes a *set* of arcs as one epoch. Equivalent to
-    /// [`DynamicDirectedSpc::delete_arcs_with`] under this facade's
-    /// [`DynamicDirectedSpc::maintenance_options`].
-    #[deprecated(note = "use `delete_arcs_with` (same behavior under `maintenance_options()`)")]
+    /// Deletes a *set* of arcs as one epoch through the multi-arc
+    /// `SrrSEARCH` repair path ([`crate::engine::DecDriver::delete_batch`])
+    /// under the configured maintenance thread budget: one repair sweep per
+    /// distinct affected hub per label family, against the residual graph
+    /// with the whole set already absent. All arcs are validated present
+    /// before the first mutation.
     pub fn delete_arcs(
         &mut self,
         arcs: &[(VertexId, VertexId)],
     ) -> dspc_graph::Result<UpdateStats> {
-        self.delete_arcs_with(arcs, &self.maintenance_options())
-    }
-
-    /// Deletes a *set* of arcs as one epoch through the multi-arc
-    /// `SrrSEARCH` repair path ([`DirectedDecSpc::delete_arcs_with`]): one
-    /// repair sweep per distinct affected hub per label family, against the
-    /// residual graph with the whole set already absent. All arcs are
-    /// validated present before the first mutation.
-    pub fn delete_arcs_with(
-        &mut self,
-        arcs: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<UpdateStats> {
-        let c = self
-            .dec
-            .delete_arcs_with(&mut self.graph, &mut self.index, arcs, options)?;
+        let c = self.dec.delete_batch(
+            &mut self.graph,
+            &mut self.index,
+            arcs,
+            self.maintenance_threads,
+        )?;
         self.flat = None;
         Ok(UpdateStats::from_counters(UpdateKind::Batch, c))
     }
@@ -450,24 +434,9 @@ impl DynamicDirectedSpc {
     /// through the engine in rank-friendly order (deletions before
     /// insertions, each ordered by the higher-ranked endpoint), and the
     /// aggregated counters come back as one [`UpdateStats`]. Validation
-    /// mirrors applying the arcs one by one.
-    ///
-    /// Equivalent to [`DynamicDirectedSpc::apply_batch_with`] under this
-    /// facade's [`DynamicDirectedSpc::maintenance_options`].
+    /// mirrors applying the arcs one by one. The whole net-deletion set is
+    /// repaired through one agenda.
     pub fn apply_batch(&mut self, updates: &[ArcUpdate]) -> dspc_graph::Result<UpdateStats> {
-        self.apply_batch_with(updates, &self.maintenance_options())
-    }
-
-    /// [`DynamicDirectedSpc::apply_batch`] with explicit
-    /// [`MaintenanceOptions`]. Under [`AgendaScope::Global`] (the default)
-    /// the whole net-deletion set is repaired through ONE agenda; under
-    /// [`AgendaScope::PerGroup`] it is split by higher-ranked endpoint
-    /// with one agenda per group.
-    pub fn apply_batch_with(
-        &mut self,
-        updates: &[ArcUpdate],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<UpdateStats> {
         let mut co: EdgeCoalescer<()> = EdgeCoalescer::new();
         for &u in updates {
             match u {
@@ -486,22 +455,9 @@ impl DynamicDirectedSpc {
         let index = &self.index;
         let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
         let mut total = UpdateStats::empty(UpdateKind::Batch);
-        match options.scope {
-            AgendaScope::Global => {
-                let deletions: Vec<(VertexId, VertexId)> = plan
-                    .deletions
-                    .iter()
-                    .map(|&(a, b)| (VertexId(a), VertexId(b)))
-                    .collect();
-                if !deletions.is_empty() {
-                    total.absorb(&self.delete_arcs_with(&deletions, options)?);
-                }
-            }
-            AgendaScope::PerGroup => {
-                for group in plan.deletion_vertex_groups() {
-                    total.absorb(&self.delete_arcs_with(&group, options)?);
-                }
-            }
+        let deletions = plan.deleted_pairs();
+        if !deletions.is_empty() {
+            total.absorb(&self.delete_arcs(&deletions)?);
         }
         for op in plan.into_post_deletion_ops() {
             total.absorb(&match op {
@@ -538,7 +494,7 @@ impl DynamicDirectedSpc {
             .map(|&w| (v, VertexId(w)))
             .collect();
         arcs.extend(self.graph.in_neighbors(v).iter().map(|&w| (VertexId(w), v)));
-        self.delete_arcs_with(&arcs, &self.maintenance_options())?;
+        self.delete_arcs(&arcs)?;
         self.graph.delete_vertex(v)?;
         self.flat = None;
         Ok(())

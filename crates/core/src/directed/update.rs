@@ -18,13 +18,13 @@
 //!   removal pass as the undirected Algorithm 6.
 
 use super::{DirectedSpcIndex, Side};
+use crate::engine::deletion::{ClassifyRole, DecDriver, DeletionVariant, SweepFrom};
+use crate::engine::parallel::LabelWriteOp;
 use crate::engine::{
-    aggregate_far_columns, build_endpoint_tasks, merge_affected, DirectedTopo, FarAggregator,
-    FarColumn, MaintenanceCounters, RepairAgenda, UpdateEngine, MARK_A, MARK_B, REPAIR_PRIMARY,
-    REPAIR_SECONDARY,
+    merge_affected, DirectedTopo, FrozenDirected, MaintenanceCounters, UpdateEngine, MARK_A,
+    MARK_B, REPAIR_PRIMARY, REPAIR_SECONDARY,
 };
-use crate::label::Rank;
-use crate::parallel::{ClassifyMode, MaintenanceOptions, MaintenanceThreads};
+use crate::label::{LabelEntry, Rank};
 use crate::query::HubProbe;
 use dspc_graph::{DirectedGraph, VertexId};
 
@@ -89,29 +89,129 @@ impl DirectedIncSpc {
     }
 }
 
-/// Directed decremental driver: the arc-deletion policy over the shared
-/// [`UpdateEngine`].
-#[derive(Debug)]
-pub struct DirectedDecSpc {
-    engine: UpdateEngine<u32>,
-    probe: HubProbe,
-    probes: Vec<HubProbe>,
-    agenda: RepairAgenda,
-    agg: FarAggregator,
+/// The label side a repair family names: [`REPAIR_PRIMARY`] is `L_in`,
+/// [`REPAIR_SECONDARY`] is `L_out`.
+fn family_side(family: u8) -> Side {
+    if family == REPAIR_PRIMARY {
+        Side::In
+    } else {
+        Side::Out
+    }
 }
 
-impl DirectedDecSpc {
-    /// Creates an engine for graphs up to `capacity` ids.
-    pub fn new(capacity: usize) -> Self {
-        DirectedDecSpc {
-            engine: UpdateEngine::new(capacity),
-            probe: HubProbe::new(capacity),
-            probes: Vec::new(),
-            agenda: RepairAgenda::new(capacity),
-            agg: FarAggregator::new(capacity),
+/// The directed variant of the batch-deletion orchestrator
+/// ([`crate::engine::deletion`]). Tail tasks sweep backward from each
+/// arc's tail (the `L_out` view, heads as fars) and flag their hubs to
+/// repair `L_in`; head tasks are the mirror image. A hub affected from
+/// both directions gets both flags in one agenda entry.
+#[derive(Debug)]
+pub struct DirectedDeletion;
+
+impl DeletionVariant for DirectedDeletion {
+    type Graph = DirectedGraph;
+    type Index = DirectedSpcIndex;
+    type Probe = HubProbe;
+    type Dist = u32;
+    type Live<'a> = DirectedTopo<'a>;
+    type Frozen<'a> = FrozenDirected<'a>;
+
+    const ROLES: &'static [ClassifyRole] = &[
+        ClassifyRole {
+            from: SweepFrom::Tails,
+            view: REPAIR_SECONDARY,
+            repair: REPAIR_PRIMARY,
+        },
+        ClassifyRole {
+            from: SweepFrom::Heads,
+            view: REPAIR_PRIMARY,
+            repair: REPAIR_SECONDARY,
+        },
+    ];
+
+    fn new_probe(capacity: usize) -> HubProbe {
+        HubProbe::new(capacity)
+    }
+
+    fn capacity(g: &DirectedGraph) -> usize {
+        g.capacity()
+    }
+
+    fn edge_key(a: VertexId, b: VertexId) -> (u32, u32) {
+        (a.0, b.0)
+    }
+
+    fn edge_len(g: &DirectedGraph, a: VertexId, b: VertexId) -> Option<u32> {
+        g.has_arc(a, b).then_some(1)
+    }
+
+    fn live<'a>(
+        g: &'a DirectedGraph,
+        index: &'a mut DirectedSpcIndex,
+        probe: &'a mut HubProbe,
+        family: u8,
+    ) -> DirectedTopo<'a> {
+        DirectedTopo::new(g, index, probe, family_side(family))
+    }
+
+    fn frozen<'a>(
+        g: &'a DirectedGraph,
+        index: &'a DirectedSpcIndex,
+        probe: &'a mut HubProbe,
+        family: u8,
+    ) -> FrozenDirected<'a> {
+        FrozenDirected::new(g, index, probe, family_side(family))
+    }
+
+    fn rank(index: &DirectedSpcIndex, v: VertexId) -> Rank {
+        index.rank(v)
+    }
+
+    fn vertex(index: &DirectedSpcIndex, r: Rank) -> VertexId {
+        index.vertex(r)
+    }
+
+    fn for_each_residual_neighbor(g: &DirectedGraph, v: u32, f: &mut dyn FnMut(u32)) {
+        let v = VertexId(v);
+        for &w in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
+            f(w);
         }
     }
 
+    fn for_each_label_hub(index: &DirectedSpcIndex, v: VertexId, f: &mut dyn FnMut(Rank)) {
+        let (l_in, l_out) = (index.label_in(v).entries(), index.label_out(v).entries());
+        for e in l_in.iter().chain(l_out) {
+            f(e.hub);
+        }
+    }
+
+    fn commit(index: &mut DirectedSpcIndex, family: u8, (v, hub, op): LabelWriteOp<u32>) {
+        let labels = index.label_mut(family_side(family), v);
+        match op {
+            Some((d, c)) => labels.upsert(LabelEntry::new(hub, d, c)),
+            None => labels.remove(hub),
+        };
+    }
+
+    fn remove_edge(g: &mut DirectedGraph, a: VertexId, b: VertexId) -> dspc_graph::Result<()> {
+        g.delete_arc(a, b)
+    }
+
+    fn delete_one(
+        driver: &mut DirectedDecSpc,
+        g: &mut DirectedGraph,
+        index: &mut DirectedSpcIndex,
+        a: VertexId,
+        b: VertexId,
+    ) -> dspc_graph::Result<MaintenanceCounters> {
+        driver.delete_arc(g, index, a, b)
+    }
+}
+
+/// Directed decremental driver: the arc-deletion policy over the shared
+/// [`UpdateEngine`]. Arc sets go through [`DecDriver::delete_batch`].
+pub type DirectedDecSpc = DecDriver<DirectedDeletion>;
+
+impl DirectedDecSpc {
     /// Deletes arc `a → b` from `g` and repairs `index`. Returns the
     /// label-operation counters.
     pub fn delete_arc(
@@ -124,7 +224,8 @@ impl DirectedDecSpc {
         if !g.has_arc(a, b) {
             return Err(dspc_graph::GraphError::MissingEdge(a, b));
         }
-        self.engine.ensure_capacity(g.capacity());
+        let (engine, probe) = self.sweep.parts();
+        engine.ensure_capacity(g.capacity());
         let mut stats = MaintenanceCounters::default();
 
         // Phase 1 on G_i: senders upstream of a (backward sweep from a over
@@ -133,14 +234,14 @@ impl DirectedDecSpc {
         // sides line up with the sweep direction by construction — see
         // [`DirectedTopo`].
         let (sr_a, r_a) = {
-            let mut topo = DirectedTopo::new(g, index, &mut self.probe, Side::Out);
-            self.engine.srr_pass(&mut topo, a, b, 1, &mut stats)
+            let mut topo = DirectedTopo::new(g, index, probe, Side::Out);
+            engine.srr_pass(&mut topo, a, b, 1, &mut stats)
         };
         let (sr_b, r_b) = {
-            let mut topo = DirectedTopo::new(g, index, &mut self.probe, Side::In);
-            self.engine.srr_pass(&mut topo, b, a, 1, &mut stats)
+            let mut topo = DirectedTopo::new(g, index, probe, Side::In);
+            engine.srr_pass(&mut topo, b, a, 1, &mut stats)
         };
-        self.engine.set_marks([&sr_a, &r_a], [&sr_b, &r_b]);
+        engine.set_marks([&sr_a, &r_a], [&sr_b, &r_b]);
 
         g.delete_arc(a, b)?;
 
@@ -160,412 +261,12 @@ impl DirectedDecSpc {
             } else {
                 (Side::Out, MARK_A, [&sr_a[..], &r_a[..]])
             };
-            let mut topo = DirectedTopo::new(g, index, &mut self.probe, repair);
-            self.engine
-                .dec_pass(&mut topo, h, opposite, removal, &mut stats);
+            let mut topo = DirectedTopo::new(g, index, probe, repair);
+            engine.dec_pass(&mut topo, h, opposite, removal, &mut stats);
         }
 
-        self.engine.clear_marks();
+        engine.clear_marks();
         Ok(stats)
-    }
-
-    /// Multi-arc `SrrSEARCH` repair, sequential. Equivalent to
-    /// [`DirectedDecSpc::delete_arcs_with`] with
-    /// [`MaintenanceOptions::sequential`].
-    #[deprecated(note = "use `delete_arcs_with` with `MaintenanceOptions::sequential()`")]
-    pub fn delete_arcs(
-        &mut self,
-        g: &mut DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        arcs: &[(VertexId, VertexId)],
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_arcs_with(g, index, arcs, &MaintenanceOptions::sequential())
-    }
-
-    /// Multi-arc deletion with an explicit thread budget. Equivalent to
-    /// [`DirectedDecSpc::delete_arcs_with`] with
-    /// [`MaintenanceOptions::with_threads`].
-    #[deprecated(note = "use `delete_arcs_with` with `MaintenanceOptions::with_threads(..)`")]
-    pub fn delete_arcs_with_threads(
-        &mut self,
-        g: &mut DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        arcs: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        self.delete_arcs_with(
-            g,
-            index,
-            arcs,
-            &MaintenanceOptions::with_threads(MaintenanceThreads::Fixed(threads)),
-        )
-    }
-
-    /// Multi-arc `SrrSEARCH` repair (the batch generalization of the
-    /// directed deletion): deletes every arc of `arcs` from `g` and repairs
-    /// `index` with at most one `DecUPDATE` sweep per distinct affected hub
-    /// *per label family*, instead of one per arc per hub.
-    ///
-    /// Classification runs on the group-pre graph. Under the default
-    /// [`ClassifyMode::MultiFar`] it costs one
-    /// [`UpdateEngine::multi_far_pass`] per *distinct tail* (backward
-    /// sweep, heads as fars) plus one per *distinct head* (forward sweep,
-    /// tails as fars); the per-far count columns are summed per shared far
-    /// endpoint, which fixes the mixed-frontier condition-**B** undercount
-    /// when several doomed arcs share a head (or tail). Hubs found
-    /// upstream are flagged to repair `L_in`, downstream hubs to repair
-    /// `L_out`, and a hub affected from both directions across different
-    /// arcs gets both flags merged into a single agenda entry. The repair
-    /// sweeps then run against the residual graph with the union of all
-    /// classified vertices as the shared receiver/removal frontier.
-    ///
-    /// A thread budget above 1 classifies endpoint tasks in parallel and
-    /// runs the per-family repair sweeps as rank-independent waves over
-    /// *weak* residual components (conservative for both sweep
-    /// directions) on a persistent worker pool. Deterministic at every
-    /// thread count.
-    ///
-    /// All arcs are validated present (and pairwise distinct) before the
-    /// first mutation; on error nothing is applied.
-    pub fn delete_arcs_with(
-        &mut self,
-        g: &mut DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        arcs: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<MaintenanceCounters> {
-        match arcs {
-            [] => return Ok(MaintenanceCounters::default()),
-            &[(a, b)] => return self.delete_arc(g, index, a, b),
-            _ => {}
-        }
-        let mut keys: Vec<(u32, u32)> = Vec::with_capacity(arcs.len());
-        for &(a, b) in arcs {
-            if !g.has_arc(a, b) {
-                return Err(dspc_graph::GraphError::MissingEdge(a, b));
-            }
-            keys.push((a.0, b.0));
-        }
-        if let Some((x, y)) = crate::engine::duplicate_edge_key(&mut keys) {
-            return Err(dspc_graph::GraphError::MissingEdge(
-                VertexId(x),
-                VertexId(y),
-            ));
-        }
-        self.engine.ensure_capacity(g.capacity());
-        self.agenda.ensure_capacity(g.capacity());
-        self.agg.ensure_capacity(g.capacity());
-        let threads = options.threads.resolve();
-        let mut stats = MaintenanceCounters::default();
-
-        if threads <= 1 {
-            match options.classify {
-                ClassifyMode::PerEdge => {
-                    for &(a, b) in arcs {
-                        let (sr_a, r_a) = {
-                            let mut topo = DirectedTopo::new(g, index, &mut self.probe, Side::Out);
-                            self.engine.srr_pass(&mut topo, a, b, 1, &mut stats)
-                        };
-                        let (sr_b, r_b) = {
-                            let mut topo = DirectedTopo::new(g, index, &mut self.probe, Side::In);
-                            self.engine.srr_pass(&mut topo, b, a, 1, &mut stats)
-                        };
-                        // Upstream hubs top paths h → … → a → b and repair
-                        // L_in; downstream hubs the mirror image.
-                        self.agenda
-                            .note_side(&sr_a, &r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                        self.agenda
-                            .note_side(&sr_b, &r_b, REPAIR_SECONDARY, |v| index.rank(v));
-                    }
-                }
-                ClassifyMode::MultiFar => {
-                    use crate::engine::FrozenDirected;
-                    // Tail tasks sweep backward (Side::Out views, heads as
-                    // fars) and feed the L_in repair family; head tasks the
-                    // mirror image.
-                    for (side, family, tasks) in [
-                        (
-                            Side::Out,
-                            REPAIR_PRIMARY,
-                            build_endpoint_tasks(arcs.iter().map(|&(a, b)| (a, b, 1u32))),
-                        ),
-                        (
-                            Side::In,
-                            REPAIR_SECONDARY,
-                            build_endpoint_tasks(arcs.iter().map(|&(a, b)| (b, a, 1u32))),
-                        ),
-                    ] {
-                        let mut columns: Vec<FarColumn> = Vec::new();
-                        {
-                            let (g_ref, index_ref): (&DirectedGraph, &DirectedSpcIndex) =
-                                (g, index);
-                            let engine = &mut self.engine;
-                            let probes = &mut self.probes;
-                            for task in &tasks {
-                                while probes.len() < task.fars.len() {
-                                    probes.push(HubProbe::new(g_ref.capacity()));
-                                }
-                                let mut views: Vec<FrozenDirected> = probes[..task.fars.len()]
-                                    .iter_mut()
-                                    .map(|p| FrozenDirected::new(g_ref, index_ref, p, side))
-                                    .collect();
-                                columns.extend(
-                                    engine.multi_far_pass(
-                                        &mut views, task.near, &task.fars, &mut stats,
-                                    ),
-                                );
-                            }
-                        }
-                        aggregate_far_columns(
-                            &mut self.agg,
-                            &columns,
-                            &mut self.agenda,
-                            family,
-                            |v| index.rank(v),
-                        );
-                    }
-                }
-            }
-            self.engine
-                .set_marks([self.agenda.receivers(), &[]], [&[], &[]]);
-
-            for &(a, b) in arcs {
-                g.delete_arc(a, b)?;
-            }
-
-            let hubs = self.agenda.take_hubs();
-            stats.agenda_hubs += hubs.len();
-            for (h_rank, families) in hubs {
-                let h = index.vertex(h_rank);
-                for (flag, repair) in [(REPAIR_PRIMARY, Side::In), (REPAIR_SECONDARY, Side::Out)] {
-                    if families & flag == 0 {
-                        continue;
-                    }
-                    stats.hubs_processed += 1;
-                    let mut topo = DirectedTopo::new(g, index, &mut self.probe, repair);
-                    self.engine.dec_pass(
-                        &mut topo,
-                        h,
-                        MARK_A,
-                        [self.agenda.receivers(), &[]],
-                        &mut stats,
-                    );
-                }
-            }
-
-            self.engine.clear_marks();
-        } else {
-            self.delete_group_parallel(g, index, arcs, threads, options.classify, &mut stats)?;
-        }
-        self.agenda.clear();
-        Ok(stats)
-    }
-
-    /// Wave-parallel twin of the sequential multi-arc body: classification
-    /// fans out over the group's endpoint tasks, the set is deleted, and
-    /// each agenda hub's family sweeps run as frozen sweeps inside
-    /// rank-independent waves on a persistent worker pool. Both sweeps of
-    /// one hub (`L_in` then `L_out`) stay on one worker in the sequential
-    /// order — they touch disjoint label families, so the frozen reads
-    /// match the sequential interleaving exactly.
-    fn delete_group_parallel(
-        &mut self,
-        g: &mut DirectedGraph,
-        index: &mut DirectedSpcIndex,
-        arcs: &[(VertexId, VertexId)],
-        threads: usize,
-        classify: ClassifyMode,
-        stats: &mut MaintenanceCounters,
-    ) -> dspc_graph::Result<()> {
-        use crate::engine::parallel::{
-            agenda_components, family_sweeps, frozen_dec_sweep, note_schedule, plan_waves,
-            run_wave_pool, Buffered, Interference, LabelWriteLog, WorkerScratch,
-        };
-        use crate::engine::FrozenDirected;
-        use crate::label::LabelEntry;
-
-        let cap = g.capacity();
-
-        match classify {
-            ClassifyMode::PerEdge => {
-                let outcomes = {
-                    let (g_ref, index_ref): (&DirectedGraph, &DirectedSpcIndex) = (g, index);
-                    crate::parallel::fan_out(
-                        arcs,
-                        threads,
-                        || {
-                            (
-                                UpdateEngine::<u32>::new(cap),
-                                HubProbe::new(cap),
-                                LabelWriteLog::<u32>::new(),
-                            )
-                        },
-                        |(engine, probe, log), &(a, b)| {
-                            let mut c = MaintenanceCounters::default();
-                            let (sr_a, r_a) = {
-                                let base = FrozenDirected::new(g_ref, index_ref, probe, Side::Out);
-                                let mut topo = Buffered::new(base, log);
-                                engine.srr_pass(&mut topo, a, b, 1, &mut c)
-                            };
-                            let (sr_b, r_b) = {
-                                let base = FrozenDirected::new(g_ref, index_ref, probe, Side::In);
-                                let mut topo = Buffered::new(base, log);
-                                engine.srr_pass(&mut topo, b, a, 1, &mut c)
-                            };
-                            debug_assert!(log.is_empty(), "classification never writes");
-                            (sr_a, r_a, sr_b, r_b, c)
-                        },
-                    )
-                };
-                for (sr_a, r_a, sr_b, r_b, c) in &outcomes {
-                    stats.absorb(c);
-                    self.agenda
-                        .note_side(sr_a, r_a, REPAIR_PRIMARY, |v| index.rank(v));
-                    self.agenda
-                        .note_side(sr_b, r_b, REPAIR_SECONDARY, |v| index.rank(v));
-                }
-            }
-            ClassifyMode::MultiFar => {
-                for (side, family, tasks) in [
-                    (
-                        Side::Out,
-                        REPAIR_PRIMARY,
-                        build_endpoint_tasks(arcs.iter().map(|&(a, b)| (a, b, 1u32))),
-                    ),
-                    (
-                        Side::In,
-                        REPAIR_SECONDARY,
-                        build_endpoint_tasks(arcs.iter().map(|&(a, b)| (b, a, 1u32))),
-                    ),
-                ] {
-                    let outcomes = {
-                        let (g_ref, index_ref): (&DirectedGraph, &DirectedSpcIndex) = (g, index);
-                        crate::parallel::fan_out(
-                            &tasks,
-                            threads,
-                            || (UpdateEngine::<u32>::new(cap), Vec::<HubProbe>::new()),
-                            |(engine, probes), task| {
-                                while probes.len() < task.fars.len() {
-                                    probes.push(HubProbe::new(cap));
-                                }
-                                let mut c = MaintenanceCounters::default();
-                                let mut views: Vec<FrozenDirected> = probes[..task.fars.len()]
-                                    .iter_mut()
-                                    .map(|p| FrozenDirected::new(g_ref, index_ref, p, side))
-                                    .collect();
-                                let cols = engine
-                                    .multi_far_pass(&mut views, task.near, &task.fars, &mut c);
-                                (cols, c)
-                            },
-                        )
-                    };
-                    let mut columns: Vec<FarColumn> = Vec::new();
-                    for (cols, c) in outcomes {
-                        stats.absorb(&c);
-                        columns.extend(cols);
-                    }
-                    aggregate_far_columns(&mut self.agg, &columns, &mut self.agenda, family, |v| {
-                        index.rank(v)
-                    });
-                }
-            }
-        }
-
-        for &(a, b) in arcs {
-            g.delete_arc(a, b)?;
-        }
-
-        let hubs = self.agenda.take_hubs();
-        stats.agenda_hubs += hubs.len();
-        let receivers = self.agenda.receivers();
-        let schedule = if hubs.len() < 2 {
-            plan_waves(hubs.len(), |_, _| false)
-        } else {
-            // Weak components of the residual digraph, labeled only where
-            // the agenda actually reaches.
-            let (comp, probes) = agenda_components(
-                cap,
-                hubs.iter()
-                    .map(|&(r, _)| index.vertex(r))
-                    .chain(receivers.iter().copied()),
-                |v, f| {
-                    for &w in g.out_neighbors(VertexId(v)) {
-                        f(w);
-                    }
-                    for &w in g.in_neighbors(VertexId(v)) {
-                        f(w);
-                    }
-                },
-            );
-            stats.interference_probes += probes;
-            let inter = Interference::build(
-                &comp,
-                &hubs,
-                receivers,
-                |r| index.vertex(r),
-                |v, f| {
-                    for e in index.label_in(v).entries() {
-                        f(e.hub);
-                    }
-                    for e in index.label_out(v).entries() {
-                        f(e.hub);
-                    }
-                },
-            );
-            plan_waves(hubs.len(), |i, j| inter.conflicts(i, j))
-        };
-        note_schedule(stats, &schedule);
-        type SweepResult = (Side, LabelWriteLog<u32>, MaintenanceCounters);
-        let items: Vec<(Rank, u8)> = hubs;
-        let waves: Vec<&[usize]> = schedule.iter().collect();
-        let g_ref: &DirectedGraph = g;
-        let index_lock = std::sync::RwLock::new(&mut *index);
-        let steals = run_wave_pool(
-            threads,
-            &items,
-            &waves,
-            || WorkerScratch::for_group(cap, receivers, HubProbe::new(cap)),
-            |scratch, &(h_rank, families)| {
-                let guard = index_lock.read().unwrap();
-                let index: &DirectedSpcIndex = &guard;
-                let h = index.vertex(h_rank);
-                let sweeps: Vec<SweepResult> = family_sweeps(families)
-                    .map(|flag| {
-                        let repair = if flag == REPAIR_PRIMARY {
-                            Side::In
-                        } else {
-                            Side::Out
-                        };
-                        let base = FrozenDirected::new(g_ref, index, &mut scratch.probe, repair);
-                        let (log, c) = frozen_dec_sweep(&mut scratch.engine, base, h, receivers);
-                        (repair, log, c)
-                    })
-                    .collect();
-                sweeps
-            },
-            |results| {
-                let mut guard = index_lock.write().unwrap();
-                for sweeps in results {
-                    for (repair, mut log, c) in sweeps {
-                        stats.absorb(&c);
-                        for (v, hub, op) in log.drain() {
-                            match op {
-                                Some((d, cnt)) => {
-                                    guard
-                                        .label_mut(repair, v)
-                                        .upsert(LabelEntry::new(hub, d, cnt));
-                                }
-                                None => {
-                                    guard.label_mut(repair, v).remove(hub);
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        );
-        stats.steal_events += steals;
-        Ok(())
     }
 }
 

@@ -18,9 +18,9 @@
 //!   treat a whole update slice as one atomic step: ops fold to their net
 //!   effect (an insert and a delete of the same edge cancel, a delete
 //!   followed by a re-insert is a topological no-op), net deletions are
-//!   grouped by their higher-ranked endpoint and repaired through the
-//!   multi-edge `SrrSEARCH` path (one repair sweep per distinct affected
-//!   hub per group), and the index is exact again when the call returns.
+//!   repaired together through the multi-edge `SrrSEARCH` path (one
+//!   repair sweep per distinct affected hub), and the index is exact again
+//!   when the call returns.
 //!
 //! The index is never observed mid-epoch: readers query either the
 //! pre-batch or the post-batch state. That boundary is what makes query
@@ -59,7 +59,7 @@ use crate::inc::{IncSpc, IncStats};
 use crate::index::{IndexStats, SpcIndex};
 use crate::label::Count;
 use crate::order::OrderingStrategy;
-use crate::parallel::{AgendaScope, MaintenanceOptions, MaintenanceThreads};
+use crate::parallel::MaintenanceThreads;
 use crate::query::spc_query;
 use dspc_graph::{Result, UndirectedGraph, VertexId};
 use std::ops::{Deref, DerefMut};
@@ -245,7 +245,7 @@ impl DynamicSpc {
     }
 
     /// Sets the worker-thread budget for intra-batch repair
-    /// ([`DynamicSpc::delete_edges_with`] and the deletion segments of
+    /// ([`DynamicSpc::delete_edges`] and the deletion segments of
     /// [`DynamicSpc::apply_batch`]). [`MaintenanceThreads::Fixed`]`(1)`
     /// degenerates to the sequential repair path exactly; every thread
     /// count produces the same index, queries, and counters.
@@ -256,15 +256,6 @@ impl DynamicSpc {
     /// The configured maintenance thread budget.
     pub fn maintenance_threads(&self) -> MaintenanceThreads {
         self.maintenance_threads
-    }
-
-    /// The default [`MaintenanceOptions`] this facade applies batches with:
-    /// the configured thread budget plus the default classification mode
-    /// and agenda scope. Pass a modified copy to
-    /// [`DynamicSpc::apply_batch_with`] / [`DynamicSpc::delete_edges_with`]
-    /// to override per call.
-    pub fn maintenance_options(&self) -> MaintenanceOptions {
-        MaintenanceOptions::with_threads(self.maintenance_threads)
     }
 
     /// The underlying graph (read-only; mutations must flow through this
@@ -335,35 +326,25 @@ impl DynamicSpc {
         Ok((UpdateStats::from_dec(stats), srr))
     }
 
-    /// Deletes a *set* of edges as one epoch. Equivalent to
-    /// [`DynamicSpc::delete_edges_with`] under this facade's
-    /// [`DynamicSpc::maintenance_options`].
-    #[deprecated(note = "use `delete_edges_with` (same behavior under `maintenance_options()`)")]
-    pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> Result<UpdateStats> {
-        self.delete_edges_with(edges, &self.maintenance_options())
-    }
-
     /// Deletes a *set* of edges as one epoch through the multi-edge
-    /// `SrrSEARCH` repair path ([`crate::dec::DecSpc::delete_edges_with`]):
-    /// every edge is classified against the pre-mutation graph (one
-    /// multi-far sweep per distinct endpoint under the default
-    /// [`crate::parallel::ClassifyMode::MultiFar`]), the whole set is
-    /// removed at once, and each distinct affected hub is repaired with a
-    /// single sweep of the residual graph — strictly fewer engine sweeps
-    /// than deleting the edges one by one whenever their affected hub sets
-    /// overlap.
+    /// `SrrSEARCH` repair path ([`crate::engine::DecDriver::delete_batch`])
+    /// under the configured maintenance thread budget: every edge is
+    /// classified against the pre-mutation graph (one multi-far sweep per
+    /// distinct endpoint), the whole set is removed at once, and each
+    /// distinct affected hub is repaired with a single sweep of the
+    /// residual graph — strictly fewer engine sweeps than deleting the
+    /// edges one by one whenever their affected hub sets overlap.
     ///
     /// All edges are validated present before the first mutation; on error
     /// nothing is applied. Returns aggregated counters tagged
     /// [`UpdateKind::Batch`].
-    pub fn delete_edges_with(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
-    ) -> Result<UpdateStats> {
-        let stats = self
-            .dec
-            .delete_edges_with(&mut self.graph, &mut self.index, edges, options)?;
+    pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> Result<UpdateStats> {
+        let stats = self.dec.delete_batch(
+            &mut self.graph,
+            &mut self.index,
+            edges,
+            self.maintenance_threads,
+        )?;
         self.flat = None;
         self.updates_since_build += edges.len();
         Ok(UpdateStats::from_counters(UpdateKind::Batch, stats))
@@ -406,7 +387,7 @@ impl DynamicSpc {
             .iter()
             .map(|&u| (v, VertexId(u)))
             .collect();
-        let mut total = self.delete_edges_with(&edges, &self.maintenance_options())?;
+        let mut total = self.delete_edges(&edges)?;
         total.kind = UpdateKind::DeleteVertex;
         // The batch's fast-path flag describes sub-deletions, not the
         // vertex deletion itself.
@@ -457,25 +438,9 @@ impl DynamicSpc {
     /// operations act as barriers: pending edge ops flush first, then the
     /// vertex op applies, preserving sequential meaning.
     ///
-    /// Equivalent to [`DynamicSpc::apply_batch_with`] under this facade's
-    /// [`DynamicSpc::maintenance_options`].
+    /// Each segment's whole net-deletion set is repaired through one
+    /// agenda, under the configured maintenance thread budget.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<UpdateStats> {
-        self.apply_batch_with(updates, &self.maintenance_options())
-    }
-
-    /// [`DynamicSpc::apply_batch`] with explicit [`MaintenanceOptions`]:
-    /// the thread budget, classification mode, and agenda scope of every
-    /// deletion segment in the batch come from `options` instead of the
-    /// facade defaults. Under [`AgendaScope::Global`] (the default) each
-    /// segment's whole net-deletion set is repaired through ONE agenda —
-    /// hubs and receivers deduplicated across former per-endpoint groups,
-    /// waves spanning group boundaries; [`AgendaScope::PerGroup`] restores
-    /// the legacy per-higher-ranked-endpoint grouping.
-    pub fn apply_batch_with(
-        &mut self,
-        updates: &[GraphUpdate],
-        options: &MaintenanceOptions,
-    ) -> Result<UpdateStats> {
         let mut total = UpdateStats::empty(UpdateKind::Batch);
         let mut co: crate::engine::EdgeCoalescer<()> = crate::engine::EdgeCoalescer::new();
         for &u in updates {
@@ -491,20 +456,18 @@ impl DynamicSpc {
                     co.fold_remove(key, || graph.has_edge(a, b).then_some(()))?;
                 }
                 GraphUpdate::InsertVertex | GraphUpdate::DeleteVertex(_) => {
-                    self.flush_batch_segment(&mut co, &mut total, options)?;
+                    self.flush_batch_segment(&mut co, &mut total)?;
                     total.absorb(&self.apply(u)?);
                 }
             }
         }
-        self.flush_batch_segment(&mut co, &mut total, options)?;
+        self.flush_batch_segment(&mut co, &mut total)?;
         Ok(total)
     }
 
-    /// Applies one coalesced segment: net deletions first — under
-    /// [`AgendaScope::Global`] the whole net-deletion set goes to the
-    /// multi-edge `SrrSEARCH` repair path as ONE batch (one global agenda);
-    /// under [`AgendaScope::PerGroup`] it is split by higher-ranked
-    /// endpoint with one agenda per group — then net insertions ordered by
+    /// Applies one coalesced segment: net deletions first — the whole
+    /// net-deletion set goes to the multi-edge `SrrSEARCH` repair path as
+    /// one batch (one global agenda) — then net insertions ordered by
     /// the higher-ranked endpoint (ascending rank position), a heuristic
     /// that settles the labels of top hubs before lower-ranked updates
     /// consult them, trimming repeat renewals. Per-call [`UpdateStats`]
@@ -513,29 +476,15 @@ impl DynamicSpc {
         &mut self,
         co: &mut crate::engine::EdgeCoalescer<()>,
         total: &mut UpdateStats,
-        options: &MaintenanceOptions,
     ) -> Result<()> {
         if co.is_empty() {
             return Ok(());
         }
         let index = &self.index;
         let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
-        match options.scope {
-            AgendaScope::Global => {
-                let deletions: Vec<(VertexId, VertexId)> = plan
-                    .deletions
-                    .iter()
-                    .map(|&(a, b)| (VertexId(a), VertexId(b)))
-                    .collect();
-                if !deletions.is_empty() {
-                    total.absorb(&self.delete_edges_with(&deletions, options)?);
-                }
-            }
-            AgendaScope::PerGroup => {
-                for group in plan.deletion_vertex_groups() {
-                    total.absorb(&self.delete_edges_with(&group, options)?);
-                }
-            }
+        let deletions = plan.deleted_pairs();
+        if !deletions.is_empty() {
+            total.absorb(&self.delete_edges(&deletions)?);
         }
         for op in plan.into_post_deletion_ops() {
             total.absorb(&match op {

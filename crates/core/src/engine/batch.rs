@@ -36,9 +36,9 @@
 //! ```
 //!
 //! The drained [`NetEdgeEffect`]s feed [`NetPlan::build`], which sorts
-//! each surviving class rank-friendly and partitions the net deletions
-//! into hub groups for the multi-edge `SrrSEARCH` repair path (see
-//! [`NetPlan::deletion_groups`] and [`crate::engine::RepairAgenda`]).
+//! each surviving class rank-friendly; the net deletions go to the
+//! multi-edge `SrrSEARCH` repair path as one set (see
+//! [`crate::engine::DecDriver::delete_batch`]).
 
 use crate::label::Rank;
 use dspc_graph::{GraphError, VertexId};
@@ -88,8 +88,8 @@ pub(crate) fn duplicate_edge_key(keys: &mut [(u32, u32)]) -> Option<(u32, u32)> 
 
 /// One post-deletion net operation a facade must apply during a batch
 /// flush. Net *deletions* are not streamed through this enum: they are
-/// handed to the multi-edge deletion path as whole hub groups via
-/// [`NetPlan::deletion_groups`].
+/// handed to the multi-edge deletion path as one set via
+/// [`NetPlan::deleted_pairs`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetOp<W> {
     /// Change the payload of edge `(a, b)` (present → present, new value).
@@ -102,19 +102,10 @@ pub enum NetOp<W> {
 /// sorted rank-friendly: by the higher-ranked endpoint first (ascending
 /// rank position), so the labels of top hubs settle before lower-ranked
 /// updates consult them, trimming repeat renewals.
-///
-/// Net deletions are additionally partitioned into **hub groups** — runs
-/// of edges sharing their higher-ranked endpoint — so the facades can hand
-/// each group as one edge *set* to the multi-edge `SrrSEARCH` repair path,
-/// which classifies against the whole group at once and runs one repair
-/// sweep per distinct affected hub instead of one per edge per hub.
 #[derive(Debug)]
 pub struct NetPlan<W> {
-    /// Edges to delete (present → absent), grouped by higher-ranked
-    /// endpoint (group boundaries in `deletion_group_ends`).
+    /// Edges to delete (present → absent).
     pub deletions: Vec<(u32, u32)>,
-    /// Exclusive end index of each deletion hub group, ascending.
-    pub deletion_group_ends: Vec<usize>,
     /// Edges whose payload changed (present → present with a new value).
     pub rewrites: Vec<((u32, u32), W)>,
     /// Edges to insert (absent → present).
@@ -122,24 +113,13 @@ pub struct NetPlan<W> {
 }
 
 impl<W> NetPlan<W> {
-    /// The net deletions as hub groups in application order: each slice
-    /// holds every net-deleted edge sharing one higher-ranked endpoint,
-    /// and groups arrive rank-friendly (top hubs first).
-    pub fn deletion_groups(&self) -> impl Iterator<Item = &[(u32, u32)]> {
-        let mut start = 0usize;
-        self.deletion_group_ends.iter().map(move |&end| {
-            let g = &self.deletions[start..end];
-            start = end;
-            g
-        })
-    }
-
-    /// [`NetPlan::deletion_groups`] with keys widened to [`VertexId`]
-    /// pairs — the form the facades hand straight to the drivers'
-    /// multi-edge deletion entry points.
-    pub fn deletion_vertex_groups(&self) -> impl Iterator<Item = Vec<(VertexId, VertexId)>> + '_ {
-        self.deletion_groups()
-            .map(|g| g.iter().map(|&(a, b)| (VertexId(a), VertexId(b))).collect())
+    /// The net deletions as [`VertexId`] pairs, in rank order — the form
+    /// the facades hand to the multi-edge deletion path.
+    pub fn deleted_pairs(&self) -> Vec<(VertexId, VertexId)> {
+        self.deletions
+            .iter()
+            .map(|&(a, b)| (VertexId(a), VertexId(b)))
+            .collect()
     }
 
     /// The post-deletion plan in application order — rewrites, then
@@ -170,7 +150,6 @@ impl<W: Copy + PartialEq> NetPlan<W> {
     ) -> NetPlan<W> {
         let mut plan = NetPlan {
             deletions: Vec::new(),
-            deletion_group_ends: Vec::new(),
             rewrites: Vec::new(),
             insertions: Vec::new(),
         };
@@ -190,16 +169,6 @@ impl<W: Copy + PartialEq> NetPlan<W> {
         plan.deletions.sort_by_key(&mut rank_key);
         plan.rewrites.sort_by_key(|(k, _)| rank_key(k));
         plan.insertions.sort_by_key(|(k, _)| rank_key(k));
-        // Chunk deletions into runs sharing the higher-ranked endpoint
-        // (rank positions are unique, so an equal min-rank means the same
-        // top vertex).
-        for i in 1..=plan.deletions.len() {
-            if i == plan.deletions.len()
-                || rank_key(&plan.deletions[i]).0 != rank_key(&plan.deletions[i - 1]).0
-            {
-                plan.deletion_group_ends.push(i);
-            }
-        }
         plan
     }
 }
@@ -385,8 +354,8 @@ mod tests {
             ((3, 7), Some(()), None),
         ];
         let plan = NetPlan::build(effects, Rank);
-        let groups: Vec<&[(u32, u32)]> = plan.deletion_groups().collect();
-        assert_eq!(groups, vec![&[(1, 4), (1, 9)][..], &[(3, 5), (3, 7)][..]]);
+        // The rank sort leaves edges sharing a top endpoint adjacent.
+        assert_eq!(plan.deletions, vec![(1, 4), (1, 9), (3, 5), (3, 7)]);
         assert_eq!(plan.insertions, vec![((2, 6), ())]);
         let ops: Vec<NetOp<()>> = plan.into_post_deletion_ops().collect();
         assert_eq!(ops, vec![NetOp::Insert(VertexId(2), VertexId(6), ())]);

@@ -50,13 +50,16 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 mod batch;
+pub mod deletion;
 pub mod parallel;
 mod topology;
 
 pub(crate) use batch::{check_endpoints, duplicate_edge_key, ordered_key};
 pub use batch::{EdgeCoalescer, NetEdgeEffect, NetOp, NetPlan};
+pub use deletion::{DecDriver, DeletionVariant};
 pub use topology::{
-    DirectedTopo, FrozenDirected, FrozenUndirected, FrozenWeighted, UndirectedTopo, WeightedTopo,
+    DirectedTopo, DirectedView, FrozenDirected, FrozenUndirected, FrozenWeighted, UndirectedTopo,
+    UndirectedView, WeightedTopo, WeightedView,
 };
 
 /// Distance domain of one index variant.
@@ -92,9 +95,11 @@ impl EngineDist for u64 {
 }
 
 /// One variant's view of "graph + index + pinned-hub probe" as the engine
-/// traverses it. Implementations borrow the graph immutably and the index
-/// mutably for the duration of one update.
-pub trait LabelTopology {
+/// traverses it — the read half. Frozen views over a shared index borrow
+/// (e.g. [`FrozenUndirected`]) implement only this, which is all
+/// classification ([`UpdateEngine::multi_far_pass`]) needs; repair sweeps
+/// also write, through [`LabelTopology`].
+pub trait FrozenTopology {
     /// Distance domain (`u32` hops or `u64` accumulated weight).
     type Dist: EngineDist;
 
@@ -122,16 +127,21 @@ pub trait LabelTopology {
     /// Entry `(hub, ·, ·)` of the repaired family at `v`, if present.
     fn label_get(&self, v: VertexId, hub: Rank) -> Option<(Self::Dist, Count)>;
 
+    /// Condition **A** of Definition 3.10: is `hub` a common hub of both
+    /// endpoints (in the variant's membership family)?
+    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
+}
+
+/// A view that also writes the repaired family: a live view over a
+/// mutably borrowed index, or a frozen view whose writes
+/// [`parallel::Buffered`] logs.
+pub trait LabelTopology: FrozenTopology {
     /// Inserts or replaces `(hub, d, c)` in the repaired family at `v`.
     fn label_upsert(&mut self, v: VertexId, hub: Rank, d: Self::Dist, c: Count);
 
     /// Removes `(hub, ·, ·)` from the repaired family at `v`; returns
     /// whether an entry existed.
     fn label_remove(&mut self, v: VertexId, hub: Rank) -> bool;
-
-    /// Condition **A** of Definition 3.10: is `hub` a common hub of both
-    /// endpoints (in the variant's membership family)?
-    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
 }
 
 /// The unified maintenance counter block: the RenewC / RenewD / Insert /
@@ -139,8 +149,7 @@ pub trait LabelTopology {
 /// and agenda counters every batch path reports. One type serves every
 /// layer — the engine passes it to its sweeps, the per-variant drivers
 /// return it, and the facades wrap it in
-/// [`crate::dynamic::UpdateStats`] — replacing the former
-/// `OpCounters` / `DecStats` / flat-`UpdateStats` triplet.
+/// [`crate::dynamic::UpdateStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceCounters {
     /// Labels whose count changed at unchanged distance (RenewC).
@@ -227,12 +236,6 @@ impl MaintenanceCounters {
         self.rerank_sweeps += other.rerank_sweeps;
     }
 }
-
-/// Former name of [`MaintenanceCounters`].
-#[deprecated(
-    note = "renamed to `MaintenanceCounters` (one counter type across engine, drivers, and facades)"
-)]
-pub type OpCounters = MaintenanceCounters;
 
 /// An entry that knows its hub rank — lets [`merge_affected`] run over both
 /// unweighted [`crate::label::LabelEntry`] and weighted
@@ -826,7 +829,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// the per-edge condition-**B** comparison `spc(v, near) = spc(v, far)`
     /// undercounts when several doomed last hops share `far`, misreading
     /// SR as R (see `tests/mixed_frontier.rs`).
-    pub fn multi_far_pass<T: parallel::FrozenTopology<Dist = D>>(
+    pub fn multi_far_pass<T: FrozenTopology<Dist = D>>(
         &mut self,
         views: &mut [T],
         near: VertexId,
@@ -873,7 +876,7 @@ impl<D: EngineDist> UpdateEngine<D> {
                 });
             }
             if expand {
-                self.expand_all_frozen(&views[0], v, dv, cv);
+                self.expand_all(&views[0], v, dv, cv);
             }
         }
         columns
@@ -944,7 +947,7 @@ impl<D: EngineDist> UpdateEngine<D> {
 
     /// Relaxes every neighbor inside `G_h` (rank pruning).
     #[inline]
-    fn expand_ranked<T: LabelTopology<Dist = D>>(
+    fn expand_ranked<T: FrozenTopology<Dist = D>>(
         &mut self,
         topo: &T,
         v: u32,
@@ -963,23 +966,7 @@ impl<D: EngineDist> UpdateEngine<D> {
     /// Relaxes every neighbor (no rank pruning — SrrSEARCH sweeps the full
     /// graph).
     #[inline]
-    fn expand_all<T: LabelTopology<Dist = D>>(&mut self, topo: &T, v: u32, dv: D, cv: Count) {
-        topo.for_each_neighbor(v, |w, len| {
-            self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
-        });
-    }
-
-    /// [`expand_all`](Self::expand_all) against a read-only frozen view
-    /// (multi-far classification never writes, so it needs no
-    /// [`LabelTopology`] write half).
-    #[inline]
-    fn expand_all_frozen<T: parallel::FrozenTopology<Dist = D>>(
-        &mut self,
-        topo: &T,
-        v: u32,
-        dv: D,
-        cv: Count,
-    ) {
+    fn expand_all<T: FrozenTopology<Dist = D>>(&mut self, topo: &T, v: u32, dv: D, cv: Count) {
         topo.for_each_neighbor(v, |w, len| {
             self.relax(T::DIJKSTRA, w, dv.extend(len), cv);
         });

@@ -64,10 +64,7 @@
 //! shrink nothing and stay in `comp(h)`, so the model built once per group
 //! stays conservative for every later wave.
 
-use super::{
-    EngineDist, LabelTopology, MaintenanceCounters, UpdateEngine, MARK_A, REPAIR_PRIMARY,
-    REPAIR_SECONDARY,
-};
+use super::{FrozenTopology, LabelTopology, MaintenanceCounters};
 use crate::label::{Count, Rank};
 use dspc_graph::VertexId;
 use std::collections::VecDeque;
@@ -102,38 +99,6 @@ impl<D> LabelWriteLog<D> {
     }
 }
 
-/// The read-only half of [`LabelTopology`]: what a frozen worker view must
-/// provide. [`Buffered`] lifts any implementor into a full
-/// [`LabelTopology`] by logging the write half.
-pub trait FrozenTopology {
-    /// Distance domain.
-    type Dist: EngineDist;
-
-    /// Whether sweeps settle in distance order (Dijkstra) or FIFO order.
-    const DIJKSTRA: bool;
-
-    /// Rank of vertex `v`.
-    fn rank(&self, v: u32) -> Rank;
-
-    /// Pins the hub-side label set of `x` for subsequent probe queries.
-    fn load_probe(&mut self, x: VertexId);
-
-    /// `SpcQUERY(pinned, v)`.
-    fn probe_query(&self, v: VertexId) -> (Self::Dist, Count);
-
-    /// `PreQUERY(pinned, v)`: hubs ranked strictly above `limit` only.
-    fn probe_pre_query(&self, v: VertexId, limit: Rank) -> (Self::Dist, Count);
-
-    /// Visits each traversal neighbor of `v` with its edge length.
-    fn for_each_neighbor<F: FnMut(u32, Self::Dist)>(&self, v: u32, f: F);
-
-    /// Entry `(hub, ·, ·)` of the repaired family at `v`, if present.
-    fn label_get(&self, v: VertexId, hub: Rank) -> Option<(Self::Dist, Count)>;
-
-    /// Condition **A** membership test.
-    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool;
-}
-
 /// Adapter: a frozen read-only view plus a write log, presented to the
 /// engine as a plain [`LabelTopology`].
 ///
@@ -154,7 +119,7 @@ impl<'a, T: FrozenTopology> Buffered<'a, T> {
     }
 }
 
-impl<T: FrozenTopology> LabelTopology for Buffered<'_, T> {
+impl<T: FrozenTopology> FrozenTopology for Buffered<'_, T> {
     type Dist = T::Dist;
 
     const DIJKSTRA: bool = T::DIJKSTRA;
@@ -188,6 +153,12 @@ impl<T: FrozenTopology> LabelTopology for Buffered<'_, T> {
         self.base.label_get(v, hub)
     }
 
+    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool {
+        self.base.is_common_hub(hub, near, far)
+    }
+}
+
+impl<T: FrozenTopology> LabelTopology for Buffered<'_, T> {
     #[inline]
     fn label_upsert(&mut self, v: VertexId, hub: Rank, d: Self::Dist, c: Count) {
         self.log.ops.push((v, hub, Some((d, c))));
@@ -200,10 +171,6 @@ impl<T: FrozenTopology> LabelTopology for Buffered<'_, T> {
             self.log.ops.push((v, hub, None));
         }
         existed
-    }
-
-    fn is_common_hub(&self, hub: Rank, near: VertexId, far: VertexId) -> bool {
-        self.base.is_common_hub(hub, near, far)
     }
 }
 
@@ -487,54 +454,6 @@ where
         barrier.wait();
     });
     steals.into_inner()
-}
-
-/// One worker's reusable scratch: an engine arena (with the group's
-/// receiver marks pre-set) and the variant's probe.
-pub struct WorkerScratch<D: EngineDist, P> {
-    /// The engine arena.
-    pub engine: UpdateEngine<D>,
-    /// The variant's pinned-hub probe.
-    pub probe: P,
-}
-
-impl<D: EngineDist, P> WorkerScratch<D, P> {
-    /// Scratch for graphs up to `capacity` ids with the group receiver
-    /// union pre-marked (the batch path marks every receiver `MARK_A`).
-    pub fn for_group(capacity: usize, receivers: &[VertexId], probe: P) -> Self {
-        let mut engine = UpdateEngine::new(capacity);
-        engine.set_marks([receivers, &[]], [&[], &[]]);
-        WorkerScratch { engine, probe }
-    }
-}
-
-/// Shared shape of one parallel repair sweep: runs `dec_pass` for
-/// `h` against a frozen view, returning the write log and the sweep's own
-/// counters (with `hubs_processed = 1`, mirroring the sequential driver).
-pub fn frozen_dec_sweep<T: FrozenTopology>(
-    engine: &mut UpdateEngine<T::Dist>,
-    base: T,
-    h: VertexId,
-    receivers: &[VertexId],
-) -> (LabelWriteLog<T::Dist>, MaintenanceCounters) {
-    let mut counters = MaintenanceCounters {
-        hubs_processed: 1,
-        ..MaintenanceCounters::default()
-    };
-    let mut log = LabelWriteLog::new();
-    {
-        let mut topo = Buffered::new(base, &mut log);
-        engine.dec_pass(&mut topo, h, MARK_A, [receivers, &[]], &mut counters);
-    }
-    (log, counters)
-}
-
-/// Splits agenda family bits into the directed variant's sweep order
-/// (`L_in` first, then `L_out`), matching the sequential driver.
-pub fn family_sweeps(families: u8) -> impl Iterator<Item = u8> {
-    [REPAIR_PRIMARY, REPAIR_SECONDARY]
-        .into_iter()
-        .filter(move |&f| families & f != 0)
 }
 
 #[cfg(test)]

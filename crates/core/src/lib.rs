@@ -20,7 +20,8 @@
 //!   insertion (Algorithms 2–3), as a thin policy over the engine.
 //! * **DecSPC** ([`dec`]) — decremental maintenance under edge/vertex
 //!   deletion, via the `SR`/`R` affected-vertex machinery (Algorithms 4–6),
-//!   likewise engine-backed.
+//!   likewise engine-backed; edge sets of every variant go through one
+//!   orchestrator ([`engine::deletion`]).
 //! * **[`dynamic::DynamicSpc`]** — the facade tying a graph and its index
 //!   together: apply updates one by one, stream them, or coalesce them into
 //!   epochs with [`dynamic::DynamicSpc::apply_batch`] (insert + delete of
@@ -84,9 +85,7 @@ pub use flat::{DirectedFlatIndex, FlatIndex, FlatScratch, KernelCounters, Weight
 pub use index::{IndexStats, SpcIndex};
 pub use label::{Count, LabelEntry, LabelSet, Rank, INF_DIST};
 pub use order::{OrderingStrategy, RankMap};
-pub use parallel::{
-    AgendaScope, ClassifyMode, MaintenanceOptions, MaintenanceThreads, QueryEngine,
-};
+pub use parallel::{MaintenanceThreads, QueryEngine};
 pub use query::{pre_query, spc_query, QueryResult};
 pub use reorder::{
     rerank_adjacent, rerank_adjacent_directed, rerank_adjacent_weighted, swap_and_repair,

@@ -8,11 +8,12 @@
 //! serving deployment of the paper's system would use between update
 //! epochs.
 //!
-//! The same scoped-thread fan-out now also backs the *maintenance* side:
-//! [`crate::engine::parallel`] partitions a repair agenda into
-//! rank-independent waves and runs each wave through the crate-internal
-//! `fan_out` helper below, governed by the [`MaintenanceThreads`] knob on
-//! the dynamic facades.
+//! The same scoped-thread fan-out also runs the *classification* step of
+//! batch deletion ([`crate::engine::deletion`]), through the crate-internal
+//! `fan_out` helper below. Its *repair* step partitions the hub agenda into
+//! rank-independent waves and runs them on the persistent worker pool of
+//! [`crate::engine::parallel::run_wave_pool`]. Both are governed by the
+//! [`MaintenanceThreads`] knob on the dynamic facades.
 
 use crate::flat::{FlatIndex, FlatScratch};
 use crate::index::SpcIndex;
@@ -69,74 +70,6 @@ impl MaintenanceThreads {
     }
 }
 
-/// How a deletion batch classifies affected vertices.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClassifyMode {
-    /// One multi-far sweep per distinct doomed endpoint
-    /// ([`crate::engine::UpdateEngine::multi_far_pass`]): per-far count
-    /// columns are summed per shared far endpoint, so condition **B**
-    /// sees the *total* doomed path count. The default, and the only
-    /// sound mode for batches whose doomed edges share endpoints.
-    #[default]
-    MultiFar,
-    /// The legacy two-sweeps-per-edge classification (`srr_pass` per
-    /// side). Kept as an ablation/regression knob: on batches with
-    /// shared endpoints its per-edge condition-**B** comparison
-    /// undercounts `spc(v, far)` and can misread SR as R (see
-    /// `tests/mixed_frontier.rs`) — do not use it outside tests.
-    PerEdge,
-}
-
-/// How a coalesced batch scopes its repair agenda.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AgendaScope {
-    /// One agenda for the entire net-deletion set: hubs and receivers
-    /// deduplicate across former per-endpoint groups, repair waves span
-    /// group boundaries, and every sweep observes the whole deleted set
-    /// as absent. The default.
-    #[default]
-    Global,
-    /// The pre-unification behavior: one agenda (and one wave schedule)
-    /// per higher-ranked-endpoint deletion group. Kept as an ablation
-    /// knob for comparing sweep counts.
-    PerGroup,
-}
-
-/// The unified batch-maintenance configuration accepted by every
-/// `*_with` entry point (`apply_batch_with`, `delete_edges_with`,
-/// `delete_arcs_with`) — replacing the former `delete_*` /
-/// `delete_*_with_threads` method pairs.
-///
-/// `MaintenanceOptions::default()` is the recommended configuration:
-/// auto thread budget, multi-far classification, global agenda.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceOptions {
-    /// Worker-thread budget for classification fan-out and repair waves.
-    pub threads: MaintenanceThreads,
-    /// Classification strategy (multi-far vs legacy per-edge).
-    pub classify: ClassifyMode,
-    /// Agenda scope (global vs legacy per-group).
-    pub scope: AgendaScope,
-}
-
-impl MaintenanceOptions {
-    /// Default options with an explicit thread budget — what the facade
-    /// `maintenance_threads` knob and the deprecated `*_with_threads`
-    /// shims translate to.
-    pub fn with_threads(threads: MaintenanceThreads) -> Self {
-        MaintenanceOptions {
-            threads,
-            ..MaintenanceOptions::default()
-        }
-    }
-
-    /// Default options pinned to one worker thread (the exact sequential
-    /// path).
-    pub fn sequential() -> Self {
-        Self::with_threads(MaintenanceThreads::Fixed(1))
-    }
-}
-
 /// Splits `len` items into exactly `min(parts, len)` contiguous chunk
 /// lengths differing by at most one — so every spawned thread has work
 /// (a naive `len.div_ceil(parts)` chunk size can leave trailing threads
@@ -151,10 +84,12 @@ pub(crate) fn chunk_lengths(len: usize, parts: usize) -> impl Iterator<Item = us
 /// Runs `work` over `items` on up to `threads` scoped worker threads, each
 /// with its own scratch from `make_scratch`, returning results in input
 /// order. `threads <= 1` (or a single item) runs inline on the caller's
-/// thread with one scratch — the degenerate sequential path.
+/// thread with the caller's `local` scratch, so the sequential path
+/// allocates no scratch at all.
 pub(crate) fn fan_out<T, S, R, FS, FW>(
     items: &[T],
     threads: usize,
+    local: &mut S,
     make_scratch: FS,
     work: FW,
 ) -> Vec<R>
@@ -164,6 +99,9 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, &T) -> R + Sync,
 {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(|t| work(local, t)).collect();
+    }
     let chunks: Vec<usize> = chunk_lengths(items.len(), threads).collect();
     fan_out_chunks(items, &chunks, make_scratch, work)
 }
@@ -474,6 +412,7 @@ mod tests {
             let out = fan_out(
                 &items,
                 threads,
+                &mut 0usize,
                 || 0usize,
                 |scratch, &i| {
                     *scratch += 1;

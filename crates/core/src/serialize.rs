@@ -202,6 +202,16 @@ pub fn decode_index(data: &[u8]) -> Result<SpcIndex, CodecError> {
     }
 }
 
+/// Whether `remaining` bytes hold `count` items of `size` bytes each.
+/// Lengths read from a file are untrusted: the product is checked, so a
+/// forged count can neither overflow nor size a reservation past the
+/// bytes actually present.
+fn fits(remaining: usize, count: usize, size: usize) -> bool {
+    count
+        .checked_mul(size)
+        .is_some_and(|bytes| bytes <= remaining)
+}
+
 fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
     if data.remaining() < 20 {
         return Err(CodecError::Truncated);
@@ -210,7 +220,7 @@ fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
     let flags = data.get_u32_le();
     let is_packed = flags & FLAG_PACKED != 0;
     let n = data.get_u64_le() as usize;
-    if data.remaining() < n * 4 {
+    if !fits(data.remaining(), n, 4) {
         return Err(CodecError::Truncated);
     }
     let mut vertex_at = Vec::with_capacity(n);
@@ -234,7 +244,7 @@ fn decode_index_v1(mut data: &[u8]) -> Result<SpcIndex, CodecError> {
         }
         let len = data.get_u32_le() as usize;
         let entry_size = if is_packed { 8 } else { 16 };
-        if data.remaining() < len * entry_size {
+        if !fits(data.remaining(), len, entry_size) {
             return Err(CodecError::Truncated);
         }
         let mut restored = LabelSet::new();
@@ -368,7 +378,7 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     };
     let _flags = read_u32(&mut pos)?;
     let n = read_u64(&mut pos)? as usize;
-    if body.len().saturating_sub(pos) < n * 4 {
+    if !fits(body.len().saturating_sub(pos), n, 4) {
         return Err(CodecError::Truncated);
     }
     let mut vertex_at = Vec::with_capacity(n);
@@ -380,7 +390,7 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     ends[0] = pos;
     let read_u32_col = |pos: &mut usize| -> Result<Vec<u32>, CodecError> {
         let len = read_u64(pos)? as usize;
-        if body.len().saturating_sub(*pos) < len * 4 {
+        if !fits(body.len().saturating_sub(*pos), len, 4) {
             return Err(CodecError::Truncated);
         }
         let mut col = Vec::with_capacity(len);
@@ -397,7 +407,7 @@ fn decode_flat_v2(data: &[u8]) -> Result<FlatIndex, CodecError> {
     let dists = read_u32_col(&mut pos)?;
     ends[3] = pos;
     let counts_len = read_u64(&mut pos)? as usize;
-    if body.len().saturating_sub(pos) < counts_len * 8 {
+    if !fits(body.len().saturating_sub(pos), counts_len, 8) {
         return Err(CodecError::Truncated);
     }
     let mut counts: Vec<Count> = Vec::with_capacity(counts_len);
@@ -499,6 +509,38 @@ mod tests {
             back.label_of(VertexId(11), VertexId(0)).unwrap().count,
             u64::MAX / 3
         );
+    }
+
+    /// A forged header: magic, `version`, zero flags, then a vertex count.
+    fn forged_header(version: u32, n: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn forged_v1_vertex_count_is_truncated_not_a_panic() {
+        for n in [1u64 << 62, u64::MAX, 1 << 40] {
+            let bytes = forged_header(VERSION, n);
+            assert_eq!(decode_index(&bytes), Err(CodecError::Truncated), "n={n}");
+            assert_eq!(decode_flat(&bytes), Err(CodecError::Truncated), "n={n}");
+        }
+    }
+
+    #[test]
+    fn forged_v2_column_length_is_truncated_not_a_panic() {
+        // Zero vertices, padding to the 8-byte boundary, then an offsets
+        // column claiming 2^62 entries.
+        let mut bytes = forged_header(VERSION_FLAT, 0);
+        bytes.extend_from_slice(&[0u8; 4]);
+        bytes.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        assert_eq!(decode_flat(&bytes), Err(CodecError::Truncated));
+        assert_eq!(decode_index(&bytes), Err(CodecError::Truncated));
+        // A forged v2 vertex count takes the same checked path.
+        let bytes = forged_header(VERSION_FLAT, 1 << 62);
+        assert_eq!(decode_flat(&bytes), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -654,14 +696,14 @@ mod tests {
         let g = erdos_renyi_gnm(50, 120, &mut rng);
         let index = build_index(&g, OrderingStrategy::Degree);
         let flat = FlatIndex::freeze(&index);
-        let dir = std::env::temp_dir().join("dspc_serialize_test");
+        let dir = std::env::temp_dir().join(format!("dspc_serialize_v2_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.dspc2");
         save_flat(&flat, &path).unwrap();
         assert_flat_equiv(&load_flat(&path).unwrap(), &flat);
         // load_index accepts the v2 file too.
         assert_index_equiv(&load_index(&path).unwrap(), &index);
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -669,7 +711,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let g = erdos_renyi_gnm(60, 150, &mut rng);
         let index = build_index(&g, OrderingStrategy::Degree);
-        let dir = std::env::temp_dir().join("dspc_serialize_test");
+        let dir = std::env::temp_dir().join(format!("dspc_serialize_v1_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.dspc");
         save_index(&index, &path).unwrap();
@@ -680,6 +722,6 @@ mod tests {
                 assert_eq!(spc_query(&index, s, t), spc_query(&back, s, t));
             }
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 }

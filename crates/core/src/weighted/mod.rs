@@ -20,7 +20,7 @@ use crate::dynamic::{UpdateKind, UpdateStats};
 use crate::engine::{ordered_key, EdgeCoalescer};
 use crate::label::{Count, Rank};
 use crate::order::OrderingStrategy;
-use crate::parallel::{AgendaScope, MaintenanceOptions, MaintenanceThreads};
+use crate::parallel::MaintenanceThreads;
 use dspc_graph::weighted::{WDist, Weight, WeightedGraph, WDIST_INF};
 use dspc_graph::VertexId;
 use serde::{Deserialize, Serialize};
@@ -386,7 +386,7 @@ impl DynamicWeightedSpc {
     }
 
     /// Sets the worker-thread budget for intra-batch repair
-    /// ([`DynamicWeightedSpc::delete_edges_with`] and the deletion
+    /// ([`DynamicWeightedSpc::delete_edges`] and the deletion
     /// segments of [`DynamicWeightedSpc::apply_batch`]). Every thread
     /// count produces the same index, queries, and counters.
     pub fn set_maintenance_threads(&mut self, threads: MaintenanceThreads) {
@@ -396,14 +396,6 @@ impl DynamicWeightedSpc {
     /// The configured maintenance thread budget.
     pub fn maintenance_threads(&self) -> MaintenanceThreads {
         self.maintenance_threads
-    }
-
-    /// The default [`MaintenanceOptions`] this facade applies batches
-    /// with; pass a modified copy to
-    /// [`DynamicWeightedSpc::apply_batch_with`] /
-    /// [`DynamicWeightedSpc::delete_edges_with`] to override per call.
-    pub fn maintenance_options(&self) -> MaintenanceOptions {
-        MaintenanceOptions::with_threads(self.maintenance_threads)
     }
 
     /// The underlying graph.
@@ -443,30 +435,22 @@ impl DynamicWeightedSpc {
         Ok(UpdateStats::from_counters(UpdateKind::DeleteEdge, c))
     }
 
-    /// Deletes a *set* of edges as one epoch. Equivalent to
-    /// [`DynamicWeightedSpc::delete_edges_with`] under this facade's
-    /// [`DynamicWeightedSpc::maintenance_options`].
-    #[deprecated(note = "use `delete_edges_with` (same behavior under `maintenance_options()`)")]
+    /// Deletes a *set* of edges as one epoch through the multi-edge
+    /// `SrrSEARCH` repair path ([`crate::engine::DecDriver::delete_batch`])
+    /// under the configured maintenance thread budget: one rank-pruned
+    /// Dijkstra per distinct affected hub against the residual graph with
+    /// the whole set already absent. All edges are validated present
+    /// before the first mutation.
     pub fn delete_edges(
         &mut self,
         edges: &[(VertexId, VertexId)],
     ) -> dspc_graph::Result<UpdateStats> {
-        self.delete_edges_with(edges, &self.maintenance_options())
-    }
-
-    /// Deletes a *set* of edges as one epoch through the multi-edge
-    /// `SrrSEARCH` repair path ([`WeightedDecSpc::delete_edges_with`]):
-    /// one rank-pruned Dijkstra per distinct affected hub against the
-    /// residual graph with the whole set already absent. All edges are
-    /// validated present before the first mutation.
-    pub fn delete_edges_with(
-        &mut self,
-        edges: &[(VertexId, VertexId)],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<UpdateStats> {
-        let c = self
-            .dec
-            .delete_edges_with(&mut self.graph, &mut self.index, edges, options)?;
+        let c = self.dec.delete_batch(
+            &mut self.graph,
+            &mut self.index,
+            edges,
+            self.maintenance_threads,
+        )?;
         self.flat = None;
         Ok(UpdateStats::from_counters(UpdateKind::Batch, c))
     }
@@ -492,7 +476,7 @@ impl DynamicWeightedSpc {
             .iter()
             .map(|&(n, _)| (v, VertexId(n)))
             .collect();
-        self.delete_edges_with(&edges, &self.maintenance_options())?;
+        self.delete_edges(&edges)?;
         self.graph.delete_vertex(v)?;
         self.flat = None;
         Ok(())
@@ -534,22 +518,9 @@ impl DynamicWeightedSpc {
     /// operations run in rank-friendly order — deletions, then weight
     /// changes, then insertions, each ordered by the higher-ranked
     /// endpoint. Returns the aggregated [`UpdateStats`]. Validation
-    /// mirrors applying the operations one by one.
+    /// mirrors applying the operations one by one. The whole net-deletion
+    /// set is repaired through one agenda.
     pub fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> dspc_graph::Result<UpdateStats> {
-        self.apply_batch_with(updates, &self.maintenance_options())
-    }
-
-    /// [`DynamicWeightedSpc::apply_batch`] with explicit
-    /// [`MaintenanceOptions`]: `options.scope` selects whether the net
-    /// deletion set repairs under one global agenda
-    /// ([`AgendaScope::Global`], the default) or as per-component groups
-    /// ([`AgendaScope::PerGroup`]); `options.threads` / `options.classify`
-    /// flow through to the repair drivers.
-    pub fn apply_batch_with(
-        &mut self,
-        updates: &[WeightedUpdate],
-        options: &MaintenanceOptions,
-    ) -> dspc_graph::Result<UpdateStats> {
         let mut co: EdgeCoalescer<Weight> = EdgeCoalescer::new();
         for &u in updates {
             match u {
@@ -573,22 +544,9 @@ impl DynamicWeightedSpc {
         let index = &self.index;
         let plan = crate::engine::NetPlan::build(co.drain(), |v| index.rank(VertexId(v)));
         let mut total = UpdateStats::empty(UpdateKind::Batch);
-        match options.scope {
-            AgendaScope::Global => {
-                let deletions: Vec<(VertexId, VertexId)> = plan
-                    .deletions
-                    .iter()
-                    .map(|&(a, b)| (VertexId(a), VertexId(b)))
-                    .collect();
-                if !deletions.is_empty() {
-                    total.absorb(&self.delete_edges_with(&deletions, options)?);
-                }
-            }
-            AgendaScope::PerGroup => {
-                for group in plan.deletion_vertex_groups() {
-                    total.absorb(&self.delete_edges_with(&group, options)?);
-                }
-            }
+        let deletions = plan.deleted_pairs();
+        if !deletions.is_empty() {
+            total.absorb(&self.delete_edges(&deletions)?);
         }
         for op in plan.into_post_deletion_ops() {
             total.absorb(&match op {

@@ -126,11 +126,10 @@ pub trait ServingEngine: Send + 'static {
     type Update: Clone + Send + 'static + crate::journal::JournalUpdate;
 
     /// Applies one epoch's updates as a single coalesced batch (the
-    /// `apply_batch_with` epoch contract: net effect only, exact index on
-    /// return). Implementations route through the facade's
-    /// `apply_batch_with` under its configured
-    /// [`dspc::MaintenanceOptions`], so the serving write path inherits
-    /// the global-agenda repair pipeline and its thread budget.
+    /// `apply_batch` epoch contract: net effect only, exact index on
+    /// return). Implementations route through the facade's `apply_batch`,
+    /// so the serving write path inherits the global-agenda repair
+    /// pipeline and the facade's maintenance thread budget.
     fn apply_batch(&mut self, updates: &[Self::Update]) -> dspc_graph::Result<UpdateStats>;
 
     /// Freezes the current epoch's serving snapshot, fanned out over
@@ -148,8 +147,7 @@ impl ServingEngine for DynamicSpc {
     type Update = GraphUpdate;
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> dspc_graph::Result<UpdateStats> {
-        let options = self.maintenance_options();
-        DynamicSpc::apply_batch_with(self, updates, &options)
+        DynamicSpc::apply_batch(self, updates)
     }
 
     fn freeze(&self, shards: usize) -> ShardedFlatIndex {
@@ -170,8 +168,7 @@ impl ServingEngine for ManagedSpc {
     type Update = GraphUpdate;
 
     fn apply_batch(&mut self, updates: &[GraphUpdate]) -> dspc_graph::Result<UpdateStats> {
-        let options = self.maintenance_options();
-        ManagedSpc::apply_batch_with(self, updates, &options)
+        ManagedSpc::apply_batch(self, updates)
     }
 
     fn freeze(&self, shards: usize) -> ShardedFlatIndex {
@@ -191,8 +188,7 @@ impl ServingEngine for DynamicDirectedSpc {
         &mut self,
         updates: &[dspc::directed::ArcUpdate],
     ) -> dspc_graph::Result<UpdateStats> {
-        let options = self.maintenance_options();
-        DynamicDirectedSpc::apply_batch_with(self, updates, &options)
+        DynamicDirectedSpc::apply_batch(self, updates)
     }
 
     fn freeze(&self, _shards: usize) -> DirectedFlatIndex {
@@ -209,8 +205,7 @@ impl ServingEngine for DynamicWeightedSpc {
     type Update = WeightedUpdate;
 
     fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> dspc_graph::Result<UpdateStats> {
-        let options = self.maintenance_options();
-        DynamicWeightedSpc::apply_batch_with(self, updates, &options)
+        DynamicWeightedSpc::apply_batch(self, updates)
     }
 
     fn freeze(&self, _shards: usize) -> WeightedFlatIndex {

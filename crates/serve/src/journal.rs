@@ -944,7 +944,9 @@ pub(crate) fn parse_wal<U: JournalUpdate>(data: &[u8]) -> Result<WalReplay<U>, J
             }
             (OP_BATCH, true) => {
                 let count = take_u32(&mut body).ok_or_else(|| corrupt("wal-batch"))?;
-                let mut batch = Vec::with_capacity(count as usize);
+                // The count is untrusted: every encoded update takes at
+                // least one byte, so never reserve past the payload.
+                let mut batch = Vec::with_capacity((count as usize).min(body.len()));
                 for _ in 0..count {
                     batch.push(U::decode(&mut body).ok_or_else(|| corrupt("wal-batch"))?);
                 }
@@ -1194,6 +1196,26 @@ mod tests {
                 assert_eq!(offset as usize, first_end);
             }
             other => panic!("expected mid-file corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wal_batch_count_past_its_payload_is_corrupt() {
+        let mut payload = BytesMut::with_capacity(80);
+        CheckpointHeader::default().encode(&mut payload);
+        let mut wal = frame_record(&payload);
+        // A checksummed batch record claiming u32::MAX updates but
+        // carrying one: a typed error, with no reservation sized by the
+        // forged count.
+        let mut p = BytesMut::with_capacity(16);
+        p.put_u8(OP_BATCH);
+        p.put_u32_le(u32::MAX);
+        GraphUpdate::InsertVertex.encode(&mut p);
+        wal.put_slice(&frame_record(&p));
+        wal.put_slice(&encode_batch_record(&[GraphUpdate::InsertVertex]));
+        match parse_wal::<GraphUpdate>(&wal) {
+            Err(JournalError::Corrupt { section, .. }) => assert_eq!(section, "wal-batch"),
+            other => panic!("expected batch corruption error, got {other:?}"),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Regression pin for the mixed-frontier misclassification.
 //!
-//! When two doomed last-hop edges share their far endpoint, the legacy
-//! per-edge classification compares `spc(v, near)` against a `spc(v, far)`
+//! When two doomed last-hop edges share their far endpoint, a per-edge
+//! classification compares `spc(v, near)` against a `spc(v, far)`
 //! computed one doomed edge at a time: each comparison sees only part of
 //! the doomed path count, condition **B** undercounts, and a fully
 //! affected vertex (SR — every shortest path doomed) is misread as R
@@ -11,14 +11,14 @@
 //!
 //! The crafted graph: two middlemen `m1`, `m2` both adjacent to `v` and
 //! `y`, plus a long detour `v—p—q—y`. Deleting `(m1, y)` and `(m2, y)` in
-//! one batch dooms *both* of `v`'s shortest paths to `y`; per-edge
-//! classification sees `spc(v, y) = 2` against a through-count of 1 per
-//! edge and leaves `v`'s stale distance-2 label in place.
+//! one batch dooms *both* of `v`'s shortest paths to `y`; a per-edge
+//! comparison sees `spc(v, y) = 2` against a through-count of 1 per edge
+//! and would leave `v`'s stale distance-2 label in place.
 
 use dspc::directed::{ArcUpdate, DynamicDirectedSpc};
 use dspc::verify::{verify_all_pairs, verify_directed_all_pairs, verify_weighted_all_pairs};
 use dspc::weighted::{DynamicWeightedSpc, WeightedUpdate};
-use dspc::{ClassifyMode, DynamicSpc, MaintenanceOptions, MaintenanceThreads, OrderingStrategy};
+use dspc::{DynamicSpc, MaintenanceThreads, OrderingStrategy};
 use dspc_graph::{DirectedGraph, UndirectedGraph, VertexId, WeightedGraph};
 
 // Identity ordering: vertex id == rank, lower id = higher rank.
@@ -31,21 +31,14 @@ fn mixed_frontier_graph() -> UndirectedGraph {
     UndirectedGraph::from_edges(6, &[(0, 2), (1, 2), (0, 5), (1, 5), (2, 3), (3, 4), (4, 5)])
 }
 
-fn options(classify: ClassifyMode, threads: usize) -> MaintenanceOptions {
-    let mut o = MaintenanceOptions::with_threads(MaintenanceThreads::Fixed(threads));
-    o.classify = classify;
-    o
-}
-
 #[test]
 fn undirected_multi_far_classification_fixes_the_batch() {
     let doomed = [(M1, Y), (M2, Y)];
-    // Multi-far (the default): exact at every thread count.
+    // Exact at every thread count.
     for threads in [1usize, 2, 4, 8] {
         let mut d = DynamicSpc::build(mixed_frontier_graph(), OrderingStrategy::Identity);
-        let stats = d
-            .delete_edges_with(&doomed, &options(ClassifyMode::MultiFar, threads))
-            .unwrap();
+        d.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        let stats = d.delete_edges(&doomed).unwrap();
         assert_eq!(
             d.query(V, Y),
             Some((3, 1)),
@@ -61,39 +54,14 @@ fn undirected_multi_far_classification_fixes_the_batch() {
 }
 
 #[test]
-fn undirected_per_edge_classification_misreads_sr_as_r() {
-    let doomed = [(M1, Y), (M2, Y)];
-    let mut d = DynamicSpc::build(mixed_frontier_graph(), OrderingStrategy::Identity);
-    let stats = d
-        .delete_edges_with(&doomed, &options(ClassifyMode::PerEdge, 1))
-        .unwrap();
-    // The pin: per-edge condition B sees spc(v, y) = 2 vs a through-count
-    // of 1 per edge, classifies v as R, and count-only repair leaves v's
-    // stale distance-2 label to y in place.
-    assert_ne!(
-        d.query(V, Y),
-        Some((3, 1)),
-        "per-edge classification must still exhibit the mixed-frontier bug"
-    );
-    assert!(
-        verify_all_pairs(d.graph(), d.index()).is_err(),
-        "the misclassified index must fail the oracle"
-    );
-    // Two sweeps per doomed edge — more work for a wrong answer.
-    assert_eq!(stats.classify_sweeps, 4);
-    assert_eq!(stats.multi_far_sweeps, 0);
-}
-
-#[test]
 fn directed_mixed_frontier_batch() {
     // Same shape, oriented v→{m1,m2}→y and v→p→q→y.
     let g = DirectedGraph::from_arcs(6, &[(2, 0), (2, 1), (0, 5), (1, 5), (2, 3), (3, 4), (4, 5)]);
     let ops = [ArcUpdate::DeleteArc(M1, Y), ArcUpdate::DeleteArc(M2, Y)];
     for threads in [1usize, 2, 4] {
         let mut d = DynamicDirectedSpc::build(g.clone(), OrderingStrategy::Identity);
-        let stats = d
-            .apply_batch_with(&ops, &options(ClassifyMode::MultiFar, threads))
-            .unwrap();
+        d.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        let stats = d.apply_batch(&ops).unwrap();
         assert_eq!(d.query(V, Y), Some((3, 1)), "threads={threads}");
         verify_directed_all_pairs(d.graph(), d.index()).unwrap();
         d.index().check_invariants().unwrap();
@@ -101,11 +69,6 @@ fn directed_mixed_frontier_batch() {
         assert_eq!(stats.classify_sweeps, 3, "threads={threads}");
         assert_eq!(stats.multi_far_sweeps, 1, "threads={threads}");
     }
-    // Per-edge ablation reproduces the bug in the directed engine too.
-    let mut d = DynamicDirectedSpc::build(g, OrderingStrategy::Identity);
-    d.apply_batch_with(&ops, &options(ClassifyMode::PerEdge, 1))
-        .unwrap();
-    assert!(verify_directed_all_pairs(d.graph(), d.index()).is_err());
 }
 
 #[test]
@@ -128,17 +91,12 @@ fn weighted_mixed_frontier_batch() {
     ];
     for threads in [1usize, 2, 4] {
         let mut d = DynamicWeightedSpc::build(g.clone(), OrderingStrategy::Identity);
-        let stats = d
-            .apply_batch_with(&ops, &options(ClassifyMode::MultiFar, threads))
-            .unwrap();
+        d.set_maintenance_threads(MaintenanceThreads::Fixed(threads));
+        let stats = d.apply_batch(&ops).unwrap();
         assert_eq!(d.query(V, Y), Some((3, 1)), "threads={threads}");
         verify_weighted_all_pairs(d.graph(), d.index()).unwrap();
         d.index().check_invariants().unwrap();
         assert_eq!(stats.classify_sweeps, 3, "threads={threads}");
         assert_eq!(stats.multi_far_sweeps, 1, "threads={threads}");
     }
-    let mut d = DynamicWeightedSpc::build(g, OrderingStrategy::Identity);
-    d.apply_batch_with(&ops, &options(ClassifyMode::PerEdge, 1))
-        .unwrap();
-    assert!(verify_weighted_all_pairs(d.graph(), d.index()).is_err());
 }

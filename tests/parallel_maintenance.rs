@@ -102,15 +102,13 @@ fn two_wheels_repair_in_the_same_wave() {
     }
 }
 
-/// The wave stats surface through the deprecated `delete_edges` shim too —
-/// shim coverage: the old name must keep delegating to `delete_edges_with`
-/// under the facade's configured options.
+/// The wave stats surface through the facade's `delete_edges` under its
+/// configured thread budget.
 #[test]
 fn delete_edges_reports_schedule_shape() {
     let g = double_wheel_bridge();
     let mut d = DynamicSpc::build(g, OrderingStrategy::Identity);
     d.set_maintenance_threads(MaintenanceThreads::Fixed(4));
-    #[allow(deprecated)]
     let stats = d
         .delete_edges(&[(VertexId(0), VertexId(1)), (VertexId(0), VertexId(6))])
         .unwrap();
